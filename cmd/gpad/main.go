@@ -1,8 +1,9 @@
 // Command gpad is the GPU performance advisor daemon: a long-running
 // HTTP JSON service in front of the Figure 2 pipeline, built on the
 // shared batch engine (gpa.NewEngine / internal/service). Every
-// request is resolved through a content-addressed result cache and a
-// singleflight table before it is allowed to cost a simulation, so N
+// request is resolved through a content-addressed cache, keyed by the
+// request's final pipeline stage, and a singleflight table on the same
+// key before it is allowed to cost a simulation, so N
 // identical concurrent requests cost one simulation and repeated
 // requests cost none; a bounded worker pool caps concurrent
 // simulations machine-wide, and -max-queue turns the daemon into a
@@ -63,16 +64,17 @@
 //	                  per-route request counters keyed by stable error
 //	                  code (gpa_http_requests_total), and Go runtime
 //	                  gauges.
-//	GET  /statsz      Engine counters: hits, misses, coalesced,
-//	                  canceled, shed, inflight, runs, evictions, plus
-//	                  the serving-efficiency gauges poolGets/poolHits
-//	                  (simulator state-arena reuse), allocsPerJob, and
-//	                  the steady-state memoization counters
-//	                  ffPeriodsDetected/ffCyclesSkipped/ffFallbacks,
-//	                  and the artifact-store counters: sims,
-//	                  stageServed, structureBuilds, stageHits/Misses
-//	                  (in-memory stage LRUs) and storeHits/Misses/
-//	                  Puts/Corrupt/Errors (the -store-dir disk store).
+//	GET  /statsz      Engine counters (schemaVersion "gpa-statsz/2"):
+//	                  hits, misses, coalesced, canceled, shed,
+//	                  inflight, runs, plus the serving-efficiency
+//	                  gauges poolGets/poolHits (simulator state-arena
+//	                  reuse), allocsPerJob, the steady-state
+//	                  memoization counters ffPeriodsDetected/
+//	                  ffCyclesSkipped/ffFallbacks, and the
+//	                  artifact-store counters: sims, stageServed,
+//	                  structureBuilds, stageHits/Misses/Evictions (the
+//	                  in-memory stage LRUs) and storeHits/Misses/Puts/
+//	                  Corrupt/Errors (the -store-dir disk store).
 //	                  Also served at /v1/statsz.
 //
 // Every request carries a trace ID: X-Request-Id is accepted (or a
@@ -109,7 +111,8 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8377", "listen address")
 	workers := flag.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 	cacheEntries := flag.Int("cache-entries", 0,
-		"LRU result cache capacity (0 = 512, negative disables caching)")
+		"in-memory artifact LRU capacity per pipeline stage (0 = 512, negative "+
+			"disables memory caching; -store-dir still serves stored artifacts)")
 	maxQueue := flag.Int("max-queue", 0,
 		"max jobs waiting for a worker before shedding with 503 queue_full (0 = unbounded)")
 	jobTimeout := flag.Duration("job-timeout", 0,
@@ -205,9 +208,9 @@ func main() {
 	cacheDesc := "disabled"
 	switch {
 	case *cacheEntries == 0:
-		cacheDesc = "512 entries"
+		cacheDesc = "512 entries per stage"
 	case *cacheEntries > 0:
-		cacheDesc = fmt.Sprintf("%d entries", *cacheEntries)
+		cacheDesc = fmt.Sprintf("%d entries per stage", *cacheEntries)
 	}
 	storeDesc := "none"
 	if *storeDir != "" {

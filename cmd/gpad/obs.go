@@ -175,7 +175,7 @@ func noteResult(w http.ResponseWriter, res *gpa.Result) {
 // Prometheus _total suffix.
 var engineGauges = map[string]bool{
 	"inflight": true, "queued": true, "queueCapacity": true,
-	"cacheEntries": true, "workers": true, "allocsPerJob": true,
+	"workers": true, "allocsPerJob": true,
 	"interactiveQueued": true, "batchQueued": true, "brownoutLevel": true,
 }
 

@@ -528,7 +528,11 @@ func (s *server) handleArchs(w http.ResponseWriter, r *http.Request) {
 
 // statszSchemaVersion versions the /statsz payload shape so machine
 // consumers (dashboards, the loadgen harness) can dispatch on it.
-const statszSchemaVersion = "gpa-statsz/1"
+// Version 2 dropped "evictions" and "cacheEntries" with the end-to-end
+// result cache they described; every other field keeps its name, and
+// "hits" now counts final-stage memory hits. Consumers of version 1
+// read per-stage memory evictions from "stageEvictions".
+const statszSchemaVersion = "gpa-statsz/2"
 
 // statszResponse is the /statsz payload: the engine's cache and
 // scheduling counters plus server uptime.

@@ -13,8 +13,8 @@ import (
 )
 
 // Engine is the batch/serving front end of the pipeline: a bounded
-// worker pool with a content-addressed result cache and singleflight
-// deduplication (see internal/service). One engine is meant to be
+// worker pool with a content-addressed stage-artifact cache and
+// singleflight deduplication (see internal/service). One engine is meant to be
 // shared by everything that fans work out — cmd/gpad serves HTTP
 // traffic through one, cmd/gpa-bench routes Table 3 sweeps through
 // one, and library callers batch through AdviseAll/DoAll — so a
@@ -30,12 +30,18 @@ import (
 // engine into a load-shedding server that fails fast with ErrQueueFull
 // instead of queueing without bound.
 //
-// The cache key is a digest of the kernel's canonical module bytes,
-// launch configuration, architecture model, and every result-affecting
-// option; the simulator is deterministic, so a cache hit returns
-// byte-identical report text to a cold sequential run. N identical
-// concurrent jobs cost one simulation. Results returned from the cache
-// share pointers and must be treated as read-only.
+// Each Figure 2 stage (frontend, measure or profile, advice) caches its
+// output under its own content-addressed key over the kernel's
+// canonical module bytes, launch configuration, architecture model,
+// and the options that stage reads. The key of a job's last stage is
+// its one cache key and singleflight key: a repeated job is answered
+// from that stage's in-memory artifact, N identical concurrent jobs
+// cost one simulation, and a profile job's output feeds a later advise
+// job without re-simulation. With a Store, stage outputs also persist
+// on disk. The simulator is deterministic, so a cache hit returns
+// byte-identical report text to a cold sequential run. Results
+// returned from the cache share pointers and must be treated as
+// read-only.
 type Engine struct {
 	svc *service.Engine
 }
@@ -44,8 +50,9 @@ type Engine struct {
 type EngineOptions struct {
 	// Workers bounds concurrent simulations (0 = GOMAXPROCS).
 	Workers int
-	// CacheEntries bounds the LRU result cache (0 = 512, negative
-	// disables caching; identical in-flight jobs still coalesce).
+	// CacheEntries bounds each per-stage in-memory artifact LRU (0 =
+	// 512 per stage; negative disables memory caching, leaving the
+	// Store if one is set; identical in-flight jobs still coalesce).
 	CacheEntries int
 	// MaxQueue bounds how many jobs may wait for a worker slot beyond
 	// the Workers already running; excess jobs fail fast with
@@ -55,13 +62,6 @@ type EngineOptions struct {
 	// own Timeout is zero (0 = none). Deadline expiry returns an error
 	// wrapping both ErrCanceled and context.DeadlineExceeded.
 	DefaultTimeout time.Duration
-	// StageEntries bounds each per-stage in-memory artifact cache
-	// (0 = 512 per stage; negative disables stage caching, leaving only
-	// the end-to-end result cache). Stage caches let partial reuse
-	// happen — an arch sweep re-analyzes the module zero extra times, a
-	// profile job's output feeds a later advise job without
-	// re-simulation.
-	StageEntries int
 	// Store is the persistent artifact store (see OpenStore): stage
 	// outputs survive restarts and are shared between engines pointed
 	// at the same directory. nil = in-memory only.
@@ -133,7 +133,6 @@ func NewEngine(opts *EngineOptions) *Engine {
 		CacheEntries:   o.CacheEntries,
 		MaxQueue:       o.MaxQueue,
 		DefaultTimeout: o.DefaultTimeout,
-		StageEntries:   o.StageEntries,
 		QoS:            o.QoS,
 	}
 	if o.Store != nil {

@@ -106,8 +106,8 @@ func TestEngineErrorsRoundTripThroughCache(t *testing.T) {
 	if st.Errors != 2 || st.Runs != 2 {
 		t.Errorf("errors/runs = %d/%d, want 2/2 (errors are never cached)", st.Errors, st.Runs)
 	}
-	if st.CacheEntries != 0 {
-		t.Errorf("cacheEntries = %d, want 0", st.CacheEntries)
+	if st.Hits != 0 {
+		t.Errorf("hits = %d, want 0 (a failed job leaves nothing to hit)", st.Hits)
 	}
 
 	// A successful job still caches; a cache hit keeps Err nil.

@@ -42,7 +42,7 @@
 // exported helpers on Kernel.
 //
 // For batch and serving workloads, NewEngine builds a shared scheduler
-// with a content-addressed result cache and singleflight deduplication
+// with a content-addressed stage cache and singleflight deduplication
 // (Engine.AdviseAll, Engine.DoAll, Engine.Sweep); cmd/gpad serves the
 // same engine over HTTP.
 package gpa

@@ -151,7 +151,7 @@ func Unpack(data []byte) (*sass.Module, error) {
 			if info.File, err = str(r.u32()); err != nil {
 				return nil, err
 			}
-			info.Line = int(r.u32())
+			info.Line = int(int32(r.u32()))
 			depth := r.u16()
 			for d := uint16(0); d < depth && r.err == nil; d++ {
 				var fr sass.InlineFrame
@@ -161,7 +161,7 @@ func Unpack(data []byte) (*sass.Module, error) {
 				if fr.File, err = str(r.u32()); err != nil {
 					return nil, err
 				}
-				fr.Line = int(r.u32())
+				fr.Line = int(int32(r.u32()))
 				info.Inline = append(info.Inline, fr)
 			}
 			rf.lines = append(rf.lines, info)

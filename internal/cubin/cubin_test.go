@@ -89,6 +89,39 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPackUnpackUnknownLine pins the -1 "no source line" marker
+// through the container: lines are packed as 32-bit two's complement,
+// so a -1 on an instruction line or an inline frame must unpack as -1,
+// not 4294967295. The SASS and CUBIN forms of one module share a
+// content-addressed key, so they must decode to the same lines.
+func TestPackUnpackUnknownLine(t *testing.T) {
+	m, err := sass.Assemble(moduleSrc)
+	if err != nil {
+		t.Fatalf("Assemble: %v", err)
+	}
+	sx := m.Function("saxpy")
+	sx.Lines[0].Line = -1
+	sx.Lines[3].Inline[0].Line = -1
+	blob, err := Pack(m)
+	if err != nil {
+		t.Fatalf("Pack: %v", err)
+	}
+	got, err := Unpack(blob)
+	if err != nil {
+		t.Fatalf("Unpack: %v", err)
+	}
+	gx := got.Function("saxpy")
+	if l := gx.Lines[0].Line; l != -1 {
+		t.Errorf("instruction line = %d, want -1", l)
+	}
+	if l := gx.Lines[3].Inline[0].Line; l != -1 {
+		t.Errorf("inline frame line = %d, want -1", l)
+	}
+	if l := gx.Lines[3].Line; l != 40 {
+		t.Errorf("neighbouring line = %d, want 40", l)
+	}
+}
+
 func TestUnpackRejectsCorruption(t *testing.T) {
 	m, err := sass.Assemble(moduleSrc)
 	if err != nil {

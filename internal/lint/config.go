@@ -35,11 +35,11 @@ func DefaultSuite() []*Analyzer {
 		}),
 		DigestFields(DigestConfig{
 			Pkg: "gpa/internal/service",
-			// A field read anywhere in the result-digest or stage-key
-			// derivation counts as digested; gpuModelHash canonically
-			// JSON-encodes the whole arch.GPU table, covering its fields
-			// wholesale.
-			Funcs: []string{"Request.digest", "Request.stageKeys", "gpuModelHash"},
+			// A field read anywhere in the stage-key derivation (the
+			// engine's one key function) counts as digested;
+			// gpuModelHash canonically JSON-encodes the whole arch.GPU
+			// table, covering its fields wholesale.
+			Funcs: []string{"Request.stageKeys", "gpuModelHash"},
 			Structs: []TrackedStruct{
 				{
 					Type: "gpa/internal/service.Request",

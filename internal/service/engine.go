@@ -1,25 +1,32 @@
 // Package service is the serving subsystem in front of the Figure 2
-// pipeline: a bounded worker-pool job engine with a content-addressed
-// result cache. It turns the one-kernel-at-a-time advisor into
+// pipeline: a bounded worker-pool job engine over a content-addressed
+// stage-artifact cache. It turns the one-kernel-at-a-time advisor into
 // something a long-running daemon (cmd/gpad) or a batch driver
 // (gpa.Engine, cmd/gpa-bench) can push heavy traffic through.
 //
 // A Request names a kernel module, launch, architecture model, and the
-// result-affecting options; its Digest — SHA-256 of the canonical
-// module bytes plus every result-affecting field — is the cache key.
-// The engine resolves each request in three tiers: an LRU result cache
-// (hit: no simulation), a singleflight table (N identical concurrent
-// requests share ONE simulation), and finally a worker-bounded run
-// of the pipeline (simulate / profile / blame / advise via the same
-// internal packages the gpa API composes). Worker slots are granted by
-// a tenant-aware admission scheduler (internal/qos): per-tenant queues
-// under deficit-weighted round robin, an interactive lane that
-// preempts queued batch work, per-tenant token-bucket quotas shedding
+// result-affecting options. Each Figure 2 stage — frontend (assemble
+// and structure), measure or profile (simulate and sample), advice
+// (blame and advise) — has its own content-addressed key over exactly
+// the inputs that stage reads (see stageKeys). The key of the
+// request's last stage, its final key, is the one cache key and the
+// one singleflight key; Digest returns it in hex. The engine resolves
+// each request in one cache tier and then the stage store: the final
+// stage's in-memory artifact (hit: its prebuilt response, no
+// simulation), a singleflight table (N identical concurrent requests
+// share ONE flight), and inside the flight the stored artifacts
+// (memory, then the optional on-disk store), and finally a
+// worker-bounded run of the missing stages (simulate / profile / blame
+// / advise via the same internal packages the gpa API composes), each
+// publishing its artifact. Worker slots are granted by a tenant-aware
+// admission scheduler (internal/qos): per-tenant queues under
+// deficit-weighted round robin, an interactive lane that preempts
+// queued batch work, per-tenant token-bucket quotas shedding
 // over-quota callers with ErrQuotaExceeded, and a brownout controller
 // shedding batch work first when queued-wait p99 says the engine is
 // saturated. Tenant and lane are transport-only metadata: they decide
-// who runs next, never what a run computes, and are excluded from the
-// digest and every stage key exactly like TraceID.
+// who runs next, never what a run computes, and are excluded from
+// every stage key exactly like TraceID.
 //
 // Cancellation contract: Do takes a context.Context and honors it at
 // every tier. A caller abandoning a queued request detaches before a
@@ -33,9 +40,9 @@
 // apierr.ErrCanceled plus the original ctx.Err().
 //
 // Determinism contract: the simulator is bit-identical at every
-// parallelism level, and cached responses are stored verbatim, so a
+// parallelism level, and stage artifacts are stored verbatim, so a
 // cache hit returns byte-identical report text to a cold sequential
-// run. Parallelism is therefore excluded from the digest. Responses
+// run. Parallelism is therefore excluded from every key. Responses
 // are shared between callers and must be treated as immutable.
 package service
 
@@ -61,7 +68,6 @@ import (
 	"gpa/internal/qos"
 	"gpa/internal/sass"
 	"gpa/internal/store"
-	"gpa/internal/structure"
 
 	adv "gpa/internal/advisor"
 )
@@ -115,8 +121,8 @@ type Request struct {
 	// to Module.
 	Prog *gpusim.Program
 	// ModuleHash optionally supplies the SHA-256 of the module's
-	// canonical cubin encoding (gpa.Kernel caches one); zero means the
-	// digest re-packs the module on demand. Supplying it keeps the
+	// canonical cubin encoding (gpa.Kernel caches one); zero means key
+	// derivation re-packs the module on demand. Supplying it keeps the
 	// warm cache-hit path free of per-request module encoding.
 	ModuleHash [32]byte
 	Launch     gpusim.LaunchConfig
@@ -131,13 +137,13 @@ type Request struct {
 	// Parallelism bounds concurrent SM simulation inside this one run
 	// (0 = 1: the engine already supplies request-level concurrency and
 	// nesting a GOMAXPROCS-wide SM pool under every worker would
-	// oversubscribe the machine). Excluded from the digest — results
-	// are identical at every level.
+	// oversubscribe the machine). Excluded from every key — results are
+	// identical at every level.
 	Parallelism int
 	// Timeout is this request's deadline, measured from admission
 	// (0 = the engine's DefaultTimeout; negative = none even when a
-	// default is set). Excluded from the digest — deadlines never
-	// affect a completed result.
+	// default is set). Excluded from every key — deadlines never affect
+	// a completed result.
 	Timeout time.Duration
 	// Blamer tunes the pruning/apportioning heuristics (KindAdvise).
 	Blamer blamer.Options
@@ -149,8 +155,8 @@ type Request struct {
 	// TraceID is the per-request trace identifier (accepted from the
 	// client or minted by the server) that request logs and the v2
 	// result schema echo. It is transport-level observability and is
-	// deliberately excluded from the result digest and every stage key
-	// — two requests differing only in TraceID share one cache entry,
+	// deliberately excluded from every stage key — two requests
+	// differing only in TraceID share one cache entry,
 	// one flight, and byte-identical responses, and drift-check output
 	// can never depend on who asked. Pinned by
 	// TestTraceIDExcludedFromDigest.
@@ -158,7 +164,7 @@ type Request struct {
 	// Tenant identifies the requesting client class for admission
 	// scheduling, quotas, and per-tenant accounting ("" = the default
 	// tenant). Like TraceID it is transport-only metadata, deliberately
-	// excluded from the result digest and every stage key: two tenants
+	// excluded from every stage key: two tenants
 	// requesting the same kernel share one cache entry and one flight
 	// (the hit is billed to both quota buckets but simulated once), and
 	// results can never depend on who asked. Pinned by
@@ -166,19 +172,19 @@ type Request struct {
 	Tenant string
 	// Lane selects the admission priority lane (zero value =
 	// interactive; cmd/gpad routes /v1/batch and /v1/sweep to
-	// qos.LaneBatch). Excluded from the digest for the same reason as
+	// qos.LaneBatch). Excluded from every key for the same reason as
 	// Tenant: scheduling priority cannot affect a completed result.
 	Lane qos.Lane
 }
 
 // defaultGPU is the shared default architecture model (the paper's
-// V100). It is resolved once so every nil-GPU request digests and runs
+// V100). It is resolved once so every nil-GPU request is keyed and run
 // against one immutable instance instead of minting a fresh model per
 // request; nothing in the pipeline mutates a Config's GPU.
 var defaultGPU = arch.VoltaV100()
 
-// normalized returns a copy with defaults resolved, so the digest and
-// the execution path can never disagree about what actually ran.
+// normalized returns a copy with defaults resolved, so the stage keys
+// and the execution path can never disagree about what actually ran.
 func (r *Request) normalized() Request {
 	n := *r
 	if n.GPU == nil {
@@ -197,7 +203,7 @@ func (r *Request) normalized() Request {
 	} else if mp := runtime.GOMAXPROCS(0); n.Parallelism > mp {
 		// gpusim.Run caps this too; normalizing here keeps the engine's
 		// effective configuration honest in one place. Parallelism never
-		// affects results and is excluded from the digest.
+		// affects results and is excluded from every key.
 		n.Parallelism = mp
 	}
 	return n
@@ -207,10 +213,12 @@ func (r *Request) normalized() Request {
 // or singleflight hit returns the same inner pointers to every caller,
 // so Profile, Advice, and Context must be treated as read-only.
 type Response struct {
-	// Key is the request digest ("" for uncacheable requests).
+	// Key is the request's final stage key in hex (see
+	// Request.Digest; "" for uncacheable requests).
 	Key string
-	// Cached is true when the response was served without running a
-	// simulation (result-cache hit or singleflight coalescing).
+	// Cached is true when the response was served without running the
+	// pipeline for this caller (a memory or store hit, or singleflight
+	// coalescing).
 	Cached bool
 	Kind   Kind
 	// Cycles is the simulated kernel duration.
@@ -225,7 +233,8 @@ type Response struct {
 	// ProfileDigest is the profile's stable content digest (drift
 	// checking across builds and deployments).
 	ProfileDigest string
-	// Advice and Context are set for KindAdvise.
+	// Advice and Context are set for KindAdvise. Context is nil when
+	// the advice was decoded from the on-disk store.
 	Advice  *adv.Advice
 	Context *adv.Context
 	// Report is the rendered Figure 8-style report text (KindAdvise).
@@ -260,10 +269,11 @@ func (r *Response) Memo(build func() any) any {
 
 // Stats is a point-in-time snapshot of the engine's counters.
 type Stats struct {
-	// Hits counts result-cache hits (no simulation, no waiting).
+	// Hits counts requests answered by their final stage's in-memory
+	// artifact (no flight, no simulation, no waiting).
 	Hits int64 `json:"hits"`
-	// Misses counts requests that found neither a cached result nor an
-	// in-flight duplicate and started a new pipeline run.
+	// Misses counts requests that found neither a final-stage memory
+	// artifact nor an in-flight duplicate and started a new flight.
 	Misses int64 `json:"misses"`
 	// Coalesced counts requests that joined an identical in-flight
 	// request (singleflight followers: N concurrent duplicates cost
@@ -280,7 +290,7 @@ type Stats struct {
 	// freshly restarted engine serving from a warm on-disk store
 	// reports Runs==0 and Sims==0.
 	Sims int64 `json:"sims"`
-	// StageServed counts requests satisfied entirely from stage
+	// StageServed counts flights answered entirely from stored stage
 	// artifacts without a pipeline run (no Runs increment).
 	StageServed int64 `json:"stageServed"`
 	// StructureBuilds counts module front-end structure analyses. An
@@ -306,8 +316,6 @@ type Stats struct {
 	// the caller canceled while queued, or a drain abandoned queued
 	// batch work.
 	QosDropped int64 `json:"qosDropped"`
-	// Evictions counts LRU cache evictions.
-	Evictions int64 `json:"evictions"`
 	// Inflight is the number of requests currently executing or queued
 	// for a worker slot.
 	Inflight int64 `json:"inflight"`
@@ -323,8 +331,6 @@ type Stats struct {
 	// BrownoutLevel is the overload controller's current level (0 =
 	// healthy; at the configured MaxLevel all batch arrivals are shed).
 	BrownoutLevel int64 `json:"brownoutLevel"`
-	// CacheEntries is the current number of cached responses.
-	CacheEntries int `json:"cacheEntries"`
 	// Workers is the engine's worker-pool bound.
 	Workers int `json:"workers"`
 	// PoolGets / PoolHits are the simulator's per-run state-arena
@@ -344,7 +350,8 @@ type Stats struct {
 	FFCyclesSkipped   int64 `json:"ffCyclesSkipped"`
 	FFFallbacks       int64 `json:"ffFallbacks"`
 	// StageHits / StageMisses / StageEvictions are the in-memory
-	// artifact-store counters (per-stage LRU lookups).
+	// artifact-store counters (per-stage LRU lookups, the final-stage
+	// probe of every cacheable request included).
 	StageHits      int64 `json:"stageHits"`
 	StageMisses    int64 `json:"stageMisses"`
 	StageEvictions int64 `json:"stageEvictions"`
@@ -377,8 +384,10 @@ type TenantStats = qos.TenantStats
 type Options struct {
 	// Workers bounds concurrent pipeline executions (0 = GOMAXPROCS).
 	Workers int
-	// CacheEntries bounds the LRU result cache (0 = 512, negative
-	// disables caching; singleflight coalescing still applies).
+	// CacheEntries bounds each per-stage in-memory artifact LRU (0 =
+	// 512 per stage; negative disables memory caching, leaving the disk
+	// store if one is configured; singleflight coalescing still
+	// applies).
 	CacheEntries int
 	// MaxQueue bounds how many pipeline runs may wait for a worker slot
 	// beyond the Workers already running; a run arriving past the bound
@@ -388,10 +397,6 @@ type Options struct {
 	// DefaultTimeout is the per-request deadline applied to every
 	// request whose own Timeout is zero (0 = none).
 	DefaultTimeout time.Duration
-	// StageEntries bounds each per-stage in-memory artifact cache of
-	// the store layer (0 = 512 per stage; negative disables stage
-	// caching entirely, leaving only the end-to-end result cache).
-	StageEntries int
 	// Disk is the persistent artifact backend (internal/store): stage
 	// outputs survive restarts and are shared across engines pointed at
 	// one directory. nil = in-memory stages only.
@@ -406,8 +411,8 @@ type Options struct {
 }
 
 // Engine is the concurrent advice engine: a worker pool with a
-// content-addressed result cache and singleflight deduplication. Safe
-// for concurrent use.
+// content-addressed stage-artifact cache and singleflight
+// deduplication on the final stage key. Safe for concurrent use.
 type Engine struct {
 	// adm is the tenant-aware admission scheduler (internal/qos): it
 	// owns the worker-slot accounting, the per-tenant queues and
@@ -427,16 +432,21 @@ type Engine struct {
 	drainCh chan struct{}
 
 	// stages/disk are the per-stage artifact store backends (see
-	// internal/store and stages.go): consulted before each pipeline
-	// stage runs, written after it completes. stages is nil when stage
-	// caching is disabled; disk is nil without a -store-dir.
+	// internal/store and stages.go): the final stage's memory entry is
+	// the cache tier Do probes, and every stage consults them before it
+	// runs and publishes to them after it completes. stages is nil when
+	// memory caching is disabled; disk is nil without a -store-dir.
 	stages *store.Memory
 	disk   *store.Disk
 
 	mu       sync.Mutex
 	draining bool
-	cache    *lruCache // nil when caching is disabled
-	flight   map[digestKey]*flightCall
+	flight   map[store.Key]*flightCall // keyed by the final stage key
+
+	// grantHook, when set, observes every admission grant in grant
+	// order (tests only: with one worker, a grant is reported before
+	// its slot can be released, so the sequence is exact).
+	grantHook func(tenant string)
 
 	// baseMallocs is the process's cumulative heap-object allocation
 	// count at engine creation (heapAllocObjects); Stats reports the
@@ -450,8 +460,8 @@ type Engine struct {
 	lat *obs.StageLatency
 
 	stats struct {
-		hits, misses, coalesced, bypass, runs, errors, canceled, shed, evictions, inflight int64
-		sims, stageServed, structureBuilds                                                 int64
+		hits, misses, coalesced, bypass, runs, errors, canceled, shed, inflight int64
+		sims, stageServed, structureBuilds                                      int64
 	}
 }
 
@@ -475,10 +485,6 @@ func New(opts Options) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	entries := opts.CacheEntries
-	if entries == 0 {
-		entries = 512
-	}
 	qosCfg := qos.Config{}
 	if opts.QoS != nil {
 		if err := opts.QoS.Validate(); err != nil {
@@ -494,9 +500,8 @@ func New(opts Options) *Engine {
 		baseCtx:        baseCtx,
 		baseCancel:     baseCancel,
 		drainCh:        make(chan struct{}),
-		cache:          newLRUCache(entries), // nil for entries < 0
-		flight:         make(map[digestKey]*flightCall),
-		stages:         store.NewMemory(opts.StageEntries), // nil for StageEntries < 0
+		flight:         make(map[store.Key]*flightCall),
+		stages:         store.NewMemory(opts.CacheEntries), // nil for CacheEntries < 0
 		disk:           opts.Disk,
 		baseMallocs:    heapAllocObjects(),
 		lat:            obs.NewStageLatency(),
@@ -517,12 +522,14 @@ func (e *Engine) withDeadline(ctx context.Context, req *Request) (context.Contex
 	return context.WithTimeout(ctx, timeout)
 }
 
-// Do resolves one request: result cache, then singleflight, then a
-// worker-bounded pipeline run. A canceled ctx detaches this caller
-// wherever it is waiting — queued, running, or coalesced — and returns
-// an error wrapping ErrCanceled; the shared run itself is canceled
-// only when its last waiter detaches. Errors are returned to every
-// waiter of the failed flight and are never cached.
+// Do resolves one request: the final stage's memory artifact, then
+// singleflight on the final stage key, then inside the flight the
+// stored artifacts and a worker-bounded pipeline run. A canceled ctx
+// detaches this caller wherever it is waiting — queued, running, or
+// coalesced — and returns an error wrapping ErrCanceled; the shared
+// run itself is canceled only when its last waiter detaches. Errors
+// are returned to every waiter of the failed flight and are never
+// cached.
 func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -547,7 +554,7 @@ func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
 	ctx, cancel := e.withDeadline(ctx, req)
 	defer cancel()
 
-	key, cacheable, err := req.digest()
+	sk, cacheable, err := req.stageKeys()
 	if err != nil {
 		return nil, err
 	}
@@ -555,7 +562,7 @@ func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
 		e.count(&e.stats.bypass)
 		// Uncacheable requests cannot share a flight, but the caller's
 		// ctx still cancels the run directly.
-		resp, err := e.execute(ctx, req, "")
+		resp, err := e.execute(ctx, req, &stageKeys{})
 		if err == nil {
 			e.adm.Served(req.Tenant)
 		}
@@ -563,17 +570,20 @@ func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
 	}
 
 	e.mu.Lock()
-	if e.cache != nil {
-		if resp := e.cache.get(key); resp != nil {
+	// The probe runs under e.mu: a flight publishes its artifacts
+	// before it leaves the flight table, so a request either joins the
+	// flight or finds its artifact here.
+	if v, ok := e.stages.Get(sk.finalStage, sk.final); ok {
+		if resp := finalView(v); resp != nil {
 			e.stats.hits++
 			e.mu.Unlock()
 			e.adm.Served(req.Tenant)
-			// The cached view is prebuilt at insertion: the warm hit
-			// path performs no allocation at all.
+			// The view is prebuilt when the artifact is created: the warm
+			// hit path performs no allocation at all.
 			return resp, nil
 		}
 	}
-	c, joined := e.flight[key]
+	c, joined := e.flight[sk.final]
 	if joined {
 		c.waiters++
 		e.stats.coalesced++
@@ -581,33 +591,34 @@ func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
 	} else {
 		runCtx, cancelRun := context.WithCancel(e.baseCtx)
 		c = &flightCall{done: make(chan struct{}), cancel: cancelRun, waiters: 1}
-		e.flight[key] = c
+		e.flight[sk.final] = c
 		e.stats.misses++
 		e.mu.Unlock()
 		// The run is owned by the flight, not by this caller: it keeps
 		// going if this caller detaches while other waiters remain, and
 		// dies (via cancelRun) when the last waiter detaches. The
-		// request is copied so the caller's Request (often stack-
-		// allocated by the gpa layer) never escapes into the goroutine.
+		// request and keys are copied so the caller's values (often
+		// stack-allocated by the gpa layer) never escape into the
+		// goroutine.
 		reqCopy := *req
-		keyCopy := key // keeps the caller's key off the heap on hit paths
-		keyStr := hex.EncodeToString(key[:])
+		skCopy := sk
 		go func() {
-			resp, err := e.execute(runCtx, &reqCopy, keyStr)
+			var err error
+			resp := e.serveFromStore(reqCopy.Kind, &skCopy)
+			if resp == nil {
+				resp, err = e.execute(runCtx, &reqCopy, &skCopy)
+			}
 			cancelRun()
 			e.mu.Lock()
 			// detach may already have removed an abandoned flight and a
 			// fresh caller may have installed a new one under the same
 			// key; only remove our own entry.
-			if e.flight[keyCopy] == c {
-				delete(e.flight, keyCopy)
+			if e.flight[skCopy.final] == c {
+				delete(e.flight, skCopy.final)
 			}
 			c.resp, c.err = resp, err
 			if resp != nil {
 				c.cachedResp = asCached(resp)
-			}
-			if err == nil && e.cache != nil {
-				e.stats.evictions += int64(e.cache.add(keyCopy, resp))
 			}
 			e.mu.Unlock()
 			close(c.done)
@@ -625,7 +636,7 @@ func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
 		}
 		return c.resp, nil
 	case <-ctx.Done():
-		e.detach(key, c)
+		e.detach(sk.final, c)
 		return nil, fmt.Errorf("service: %w", apierr.Canceled(ctx.Err()))
 	}
 }
@@ -635,7 +646,7 @@ func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
 // the flight immediately, so a fresh caller arriving while the
 // canceled run unwinds starts a new run instead of inheriting the
 // abandoned flight's cancellation error.
-func (e *Engine) detach(key digestKey, c *flightCall) {
+func (e *Engine) detach(key store.Key, c *flightCall) {
 	e.mu.Lock()
 	e.stats.canceled++
 	c.waiters--
@@ -751,7 +762,7 @@ func (e *Engine) Stats() Stats {
 	allocs := heapAllocObjects()
 	poolGets, poolHits := gpusim.PoolStats()
 	ffPeriods, ffCycles, ffFallbacks := gpusim.FFStats()
-	stageStats := e.stages.Stats() // nil-safe: zero Stats without stage caching
+	stageStats := e.stages.Stats() // nil-safe: zero Stats without memory caching
 	var diskStats store.Stats
 	if e.disk != nil {
 		diskStats = e.disk.Stats()
@@ -773,7 +784,6 @@ func (e *Engine) Stats() Stats {
 		QuotaShed:     adm.QuotaShed,
 		BrownoutShed:  adm.BrownoutShed,
 		QosDropped:    adm.Dropped,
-		Evictions:     e.stats.evictions,
 		Inflight:      e.stats.inflight,
 		Queued:        adm.Queued,
 		QueueCapacity: e.adm.QueueCapacity(),
@@ -783,10 +793,9 @@ func (e *Engine) Stats() Stats {
 		BrownoutLevel:     int64(adm.BrownoutLevel),
 		Tenants:           adm.Tenants,
 
-		CacheEntries: e.cache.len(),
-		Workers:      e.adm.Workers(),
-		PoolGets:     poolGets,
-		PoolHits:     poolHits,
+		Workers:  e.adm.Workers(),
+		PoolGets: poolGets,
+		PoolHits: poolHits,
 
 		FFPeriodsDetected: ffPeriods,
 		FFCyclesSkipped:   ffCycles,
@@ -816,27 +825,15 @@ func asCached(r *Response) *Response {
 	return &c
 }
 
-// execute runs the pipeline for one request: the per-stage artifact
-// store first (a full-stage hit costs no admission slot and no run),
-// then the admission queue, then a worker slot (abandoned early if ctx
-// dies or the engine drains), then the pipeline itself under the run
-// context — with each Figure 2 stage consulting the store before it
-// runs and publishing its artifact after.
-func (e *Engine) execute(ctx context.Context, req *Request, key string) (resp *Response, err error) {
+// execute runs the pipeline for one request: the admission queue,
+// then a worker slot (abandoned early if ctx dies or the engine
+// drains), then the pipeline itself under the run context — with each
+// Figure 2 stage consulting the stage store before it runs and
+// publishing its artifact after. sk holds the request's stage keys
+// (all zero for a request without a stable identity, whose artifacts
+// stay private to this run).
+func (e *Engine) execute(ctx context.Context, req *Request, sk *stageKeys) (resp *Response, err error) {
 	n := req.normalized()
-	var sk stageKeys
-	stageOK := false
-	if e.stagesEnabled() {
-		if k, ok, kerr := n.stageKeys(); kerr == nil && ok {
-			sk, stageOK = k, true
-		}
-	}
-	if stageOK {
-		if resp := e.serveFromStore(&n, key, &sk); resp != nil {
-			e.count(&e.stats.stageServed)
-			return resp, nil
-		}
-	}
 	e.count(&e.stats.inflight)
 	defer func() {
 		e.mu.Lock()
@@ -857,6 +854,9 @@ func (e *Engine) execute(ctx context.Context, req *Request, key string) (resp *R
 		return nil, fmt.Errorf("service: %w", aerr)
 	}
 	defer release()
+	if e.grantHook != nil {
+		e.grantHook(n.Tenant)
+	}
 	defer func() {
 		e.mu.Lock()
 		e.stats.runs++
@@ -881,26 +881,18 @@ func (e *Engine) execute(ctx context.Context, req *Request, key string) (resp *R
 
 	start := time.Now()
 	// The front-end artifact shares one program + structure build per
-	// module across every request and architecture; without stage
-	// caching the front-end is rebuilt per request as before.
-	var fa *frontendArtifact
-	if stageOK {
-		fa = e.frontendFor(&n, sk.frontend)
-	}
+	// module across every request and architecture.
+	fa := e.frontendFor(&n, sk.frontend)
 	prog := n.Prog
 	if prog == nil {
 		assembleStart := time.Now()
-		if fa != nil {
-			prog, err = fa.programOf(nil)
-		} else {
-			prog, err = gpusim.Load(n.Module)
-		}
+		prog, err = fa.programOf(nil)
 		e.lat.Since(obs.StageAssemble, assembleStart)
 		if err != nil {
 			return nil, fmt.Errorf("service: %w", err)
 		}
 	}
-	resp = &Response{Key: key, Kind: n.Kind, memo: &respMemo{}}
+	resp = &Response{Key: keyHex(sk.final), Kind: n.Kind, memo: &respMemo{}}
 
 	if n.Kind == KindMeasure {
 		simStart := time.Now()
@@ -918,27 +910,22 @@ func (e *Engine) execute(ctx context.Context, req *Request, key string) (resp *R
 		resp.Cycles = res.Cycles
 		prog.Recycle(res)
 		resp.ElapsedMS = elapsedMS(start)
-		if stageOK {
-			ma := &measureArtifact{Cycles: resp.Cycles, ElapsedMS: resp.ElapsedMS}
-			e.stagePut(store.StageMeasure, sk.measure, ma,
-				func() ([]byte, error) { return json.Marshal(ma) })
-		}
+		ma := &measureArtifact{Cycles: resp.Cycles, ElapsedMS: resp.ElapsedMS, view: asCached(resp)}
+		e.stagePut(store.StageMeasure, sk.measure, ma,
+			func() ([]byte, error) { return json.Marshal(ma) })
 		return resp, nil
 	}
 
 	// Profile stage: an advise run whose advice artifact missed may
 	// still reuse a stored profile (e.g. a prior /v1/profile) and skip
 	// the simulation entirely.
-	var prof *profiler.Profile
-	var profDigest string
-	if stageOK && n.Kind == KindAdvise {
-		if pa := e.profileArtifactGet(sk.profile); pa != nil {
-			prof, profDigest = pa.prof, pa.digest
-		}
+	var pa *profileArtifact
+	if n.Kind == KindAdvise {
+		pa = e.profileArtifactGet(sk.profile)
 	}
-	if prof == nil {
+	if pa == nil {
 		simStart := time.Now()
-		prof, err = profiler.CollectProgram(ctx, prog, n.Launch, n.Workload, profiler.Options{
+		prof, err := profiler.CollectProgram(ctx, prog, n.Launch, n.Workload, profiler.Options{
 			GPU:          n.GPU,
 			SamplePeriod: n.SamplePeriod,
 			SimSMs:       n.SimSMs,
@@ -958,29 +945,19 @@ func (e *Engine) execute(ctx context.Context, req *Request, key string) (resp *R
 			return nil, fmt.Errorf("service: %w", err)
 		}
 		sum := sha256.Sum256(data)
-		profDigest = hex.EncodeToString(sum[:])
-		if stageOK {
-			pe := elapsedMS(start)
-			pa := &profileArtifact{prof: prof, digest: profDigest, elapsedMS: pe}
-			e.stagePut(store.StageProfile, sk.profile, pa, func() ([]byte, error) {
-				return json.Marshal(profileEnvelope{ElapsedMS: pe, Profile: data})
-			})
-			if n.Kind == KindProfile {
-				resp.Cycles = prof.Cycles
-				resp.Profile = prof
-				resp.ProfileDigest = profDigest
-				// The response replays the artifact's elapsed so a warm
-				// store hit stays byte-identical to this cold run.
-				resp.ElapsedMS = pe
-				return resp, nil
-			}
-		}
+		pa = &profileArtifact{prof: prof, digest: hex.EncodeToString(sum[:]), elapsedMS: elapsedMS(start)}
+		pa.withView(sk.profile)
+		e.stagePut(store.StageProfile, sk.profile, pa, func() ([]byte, error) {
+			return json.Marshal(profileEnvelope{ElapsedMS: pa.elapsedMS, Profile: data})
+		})
 	}
-	resp.Cycles = prof.Cycles
-	resp.Profile = prof
-	resp.ProfileDigest = profDigest
+	resp.Cycles = pa.prof.Cycles
+	resp.Profile = pa.prof
+	resp.ProfileDigest = pa.digest
 	if n.Kind == KindProfile {
-		resp.ElapsedMS = elapsedMS(start)
+		// The response replays the artifact's elapsed so a warm store hit
+		// stays byte-identical to this cold run.
+		resp.ElapsedMS = pa.elapsedMS
 		return resp, nil
 	}
 
@@ -989,29 +966,19 @@ func (e *Engine) execute(ctx context.Context, req *Request, key string) (resp *R
 	}
 	// Advice stage: a stored blame/advise artifact (same profile, same
 	// blamer options) serves verbatim over the profile above.
-	if stageOK {
-		if aa := e.adviceArtifactGet(sk.advice); aa != nil {
-			resp.Advice = aa.advice
-			resp.Report = aa.report
-			resp.ElapsedMS = elapsedMS(start)
-			return resp, nil
-		}
+	if aa := e.adviceArtifactGet(sk.advice, pa); aa != nil {
+		resp.Advice = aa.advice
+		resp.Report = aa.report
+		resp.ElapsedMS = elapsedMS(start)
+		return resp, nil
 	}
 	blameStart := time.Now()
-	var st *structure.Structure
-	mod := n.Module
-	if fa != nil {
-		mod = fa.mod
-		st, err = e.structureOf(fa)
-	} else {
-		e.count(&e.stats.structureBuilds)
-		st, err = structure.Analyze(n.Module)
-	}
+	st, err := e.structureOf(fa)
 	if err != nil {
 		e.lat.Since(obs.StageBlame, blameStart)
 		return nil, fmt.Errorf("service: %w", err)
 	}
-	actx, err := adv.BuildContextWithStructure(mod, st, prof, n.GPU, n.Blamer)
+	actx, err := adv.BuildContextWithStructure(fa.mod, st, pa.prof, n.GPU, n.Blamer)
 	e.lat.Since(obs.StageBlame, blameStart)
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
@@ -1023,12 +990,10 @@ func (e *Engine) execute(ctx context.Context, req *Request, key string) (resp *R
 	resp.Report = advice.String()
 	e.lat.Since(obs.StageAdvise, adviseStart)
 	resp.ElapsedMS = elapsedMS(start)
-	if stageOK {
-		aa := &adviceArtifact{advice: advice, report: resp.Report, elapsedMS: resp.ElapsedMS}
-		e.stagePut(store.StageAdvice, sk.advice, aa, func() ([]byte, error) {
-			return json.Marshal(adviceEnvelope{ElapsedMS: aa.elapsedMS, Report: aa.report, Advice: advice})
-		})
-	}
+	aa := &adviceArtifact{advice: advice, report: resp.Report, elapsedMS: resp.ElapsedMS, view: asCached(resp)}
+	e.stagePut(store.StageAdvice, sk.advice, aa, func() ([]byte, error) {
+		return json.Marshal(adviceEnvelope{ElapsedMS: aa.elapsedMS, Report: aa.report, Advice: advice})
+	})
 	return resp, nil
 }
 

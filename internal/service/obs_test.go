@@ -1,7 +1,7 @@
 package service
 
 // Observability contract tests: trace IDs are transport-level only —
-// they never enter the result digest or any stage key, so two requests
+// they never enter any stage key, so two requests
 // differing only in TraceID share one cache entry and byte-identical
 // responses — and the per-stage latency histograms record exactly the
 // stages a run executes.

@@ -97,24 +97,33 @@ func TestCrossTenantSingleflight(t *testing.T) {
 	}
 }
 
-// TestTenantFairnessUnderSaturation is the engine half of the ISSUE's
+// TestTenantFairnessUnderSaturation is the engine half of the
 // fairness pin, run under -race by CI: a 10:1 offered-load imbalance
-// between two equal-weight tenants on a saturated single worker
-// completes ~1:1 while both are backlogged — tenant b's whole backlog
-// finishes within a 1.5:1 tolerance (plus recording slack) instead of
-// waiting behind tenant a's flood.
+// between two equal-weight tenants on a saturated single worker is
+// granted ~1:1 while both are backlogged — tenant b's whole backlog is
+// admitted within a 1.5:1 tolerance instead of waiting behind tenant
+// a's flood. It asserts on grant order, recorded at the admission
+// point, not on completion order: completions are recorded by
+// goroutines racing the next grant, so their order depends on wakeup
+// timing under CPU contention.
 func TestTenantFairnessUnderSaturation(t *testing.T) {
 	e := New(Options{Workers: 1})
+	var mu sync.Mutex
+	var grants []string
+	e.grantHook = func(tenant string) {
+		mu.Lock()
+		grants = append(grants, tenant)
+		mu.Unlock()
+	}
 	// Occupy the single worker slot directly at the scheduler so every
-	// request below queues before any grant happens.
+	// request below queues before any grant happens (the hog bypasses
+	// the engine, so it is not recorded).
 	release, err := e.adm.Acquire(context.Background(), "hog", qos.LaneInteractive)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	const aJobs, bJobs = 30, 3
-	var mu sync.Mutex
-	var completions []string
 	var wg sync.WaitGroup
 	enqueue := func(tenant string, seedBase uint64, n int) {
 		for i := 0; i < n; i++ {
@@ -122,15 +131,11 @@ func TestTenantFairnessUnderSaturation(t *testing.T) {
 			go func(seed uint64) {
 				defer wg.Done()
 				r := testRequest(t, KindMeasure)
-				r.Seed = seed // distinct digest per job: no coalescing
+				r.Seed = seed // distinct key per job: no coalescing
 				r.Tenant = tenant
 				if _, err := e.Do(context.Background(), r); err != nil {
 					t.Errorf("tenant %s: %v", tenant, err)
-					return
 				}
-				mu.Lock()
-				completions = append(completions, tenant)
-				mu.Unlock()
 			}(seedBase + uint64(i))
 		}
 	}
@@ -143,7 +148,7 @@ func TestTenantFairnessUnderSaturation(t *testing.T) {
 	wg.Wait()
 
 	aBeforeLastB, bSeen := 0, 0
-	for _, tenant := range completions {
+	for _, tenant := range grants {
 		if tenant == "b" {
 			bSeen++
 			if bSeen == bJobs {
@@ -154,14 +159,14 @@ func TestTenantFairnessUnderSaturation(t *testing.T) {
 		}
 	}
 	if bSeen != bJobs {
-		t.Fatalf("tenant b completed %d of %d jobs", bSeen, bJobs)
+		t.Fatalf("tenant b was granted %d of %d jobs", bSeen, bJobs)
 	}
 	// Strict DWRR alternation yields aBeforeLastB == bJobs; allow the
-	// 1.5:1 ISSUE tolerance plus slack for completion-recording order.
+	// 1.5:1 tolerance plus the same slack as before.
 	tolerance := 1.5
 	if max := int(tolerance*bJobs) + 2; aBeforeLastB > max {
-		t.Fatalf("tenant a completed %d jobs before tenant b's backlog of %d drained (want ≤ %d): offered load leaked into completions: %v",
-			aBeforeLastB, bJobs, max, completions)
+		t.Fatalf("tenant a was granted %d jobs before tenant b's backlog of %d drained (want ≤ %d): offered load leaked into grants: %v",
+			aBeforeLastB, bJobs, max, grants)
 	}
 }
 

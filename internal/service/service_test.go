@@ -226,10 +226,10 @@ func TestSingleflightCoalesces(t *testing.T) {
 }
 
 func TestDoAllMixedKinds(t *testing.T) {
-	// Stage caching off: the runs==3 pin below requires that the
+	// Memory caching off: the runs==3 pin below requires that the
 	// concurrent advise job can never ride the profile job's freshly
 	// published profile-stage artifact.
-	e := New(Options{StageEntries: -1})
+	e := New(Options{CacheEntries: -1})
 	reqs := []*Request{
 		testRequest(t, KindMeasure),
 		testRequest(t, KindProfile),
@@ -267,16 +267,16 @@ func TestErrorsNotCached(t *testing.T) {
 		t.Fatal("expected error again (errors must not be cached)")
 	}
 	st := e.Stats()
-	if st.Errors != 2 || st.Runs != 2 || st.CacheEntries != 0 {
+	if st.Errors != 2 || st.Runs != 2 || st.Hits != 0 {
 		t.Errorf("stats = %+v, want 2 uncached errors", st)
 	}
 }
 
 func TestLRUEviction(t *testing.T) {
-	// Stage caching off: this test pins RESULT-cache eviction, so the
-	// evicted entry must genuinely re-run instead of being served from
-	// the measure-stage artifact cache.
-	e := New(Options{Workers: 1, CacheEntries: 2, StageEntries: -1})
+	// CacheEntries bounds each stage's memory LRU: three measure keys
+	// through a two-entry bound evict the least recently used one, which
+	// must then genuinely re-run.
+	e := New(Options{Workers: 1, CacheEntries: 2})
 	for i := 0; i < 3; i++ {
 		r := testRequest(t, KindMeasure)
 		r.Seed = uint64(i)
@@ -285,8 +285,8 @@ func TestLRUEviction(t *testing.T) {
 		}
 	}
 	st := e.Stats()
-	if st.CacheEntries != 2 || st.Evictions != 1 {
-		t.Fatalf("stats = %+v, want 2 entries after 1 eviction", st)
+	if st.StageEvictions != 1 || st.Runs != 3 {
+		t.Fatalf("stats = %+v, want 3 runs and 1 stage eviction", st)
 	}
 	// Seed 0 was evicted (least recently used): a repeat re-runs.
 	r := testRequest(t, KindMeasure)
@@ -311,9 +311,9 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestCacheDisabled(t *testing.T) {
-	// Stage caching off too: with every cache layer disabled, repeats
-	// must re-run and never report Cached.
-	e := New(Options{Workers: 1, CacheEntries: -1, StageEntries: -1})
+	// Memory caching off and no disk store: repeats must re-run and
+	// never report Cached.
+	e := New(Options{Workers: 1, CacheEntries: -1})
 	for i := 0; i < 2; i++ {
 		resp, err := e.Do(context.Background(), testRequest(t, KindMeasure))
 		if err != nil {
@@ -323,7 +323,7 @@ func TestCacheDisabled(t *testing.T) {
 			t.Error("cache disabled but response marked cached")
 		}
 	}
-	if st := e.Stats(); st.Runs != 2 || st.CacheEntries != 0 {
+	if st := e.Stats(); st.Runs != 2 || st.Hits != 0 || st.StageHits != 0 {
 		t.Errorf("stats = %+v, want 2 runs with no cache", st)
 	}
 }

@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"sync"
 
-	"gpa/internal/arch"
-	"gpa/internal/cubin"
 	"gpa/internal/gpusim"
 	"gpa/internal/profiler"
 	"gpa/internal/sass"
@@ -18,121 +16,6 @@ import (
 
 	adv "gpa/internal/advisor"
 )
-
-// stageSchema versions the per-stage artifact keys AND the blob
-// payload encodings together, anchored to digestSchema so any change
-// to the canonical field encoding invalidates stage artifacts exactly
-// like it invalidates result-cache keys. Blobs written under another
-// schema are misses by construction (the framing rejects them), never
-// misreads.
-const stageSchema = "gpa-stage/1+" + digestSchema
-
-// StoreSchema is the payload-schema string an on-disk artifact store
-// must be opened with to serve this build's engine.
-func StoreSchema() string { return stageSchema }
-
-// OpenDisk opens (creating if needed) an on-disk artifact store at dir
-// under this build's stage schema.
-func OpenDisk(dir string) (*store.Disk, error) {
-	return store.Open(dir, stageSchema)
-}
-
-// stageKeys holds the per-stage content-addressed keys for one
-// normalized request. The Figure 2 pipeline factors into three
-// dependency tiers, each keyed by exactly the inputs that can change
-// its output:
-//
-//	frontend: module                         → Program, Structure
-//	measure/profile: module+launch+arch+sim  → cycles / sampled profile
-//	advice: profile key + blamer options     → ranked advice, report
-//
-// Kind is deliberately excluded everywhere: a profile request and an
-// advise request over the same inputs share one profile artifact,
-// which is what lets a stored /v1/profile feed /v1/advise without
-// re-simulation. Parallelism is excluded for the same reason it is
-// excluded from the result digest — results are bit-identical at
-// every level.
-type stageKeys struct {
-	frontend store.Key
-	measure  store.Key
-	profile  store.Key
-	advice   store.Key
-}
-
-// stageKeys derives the per-stage keys for an already-normalized
-// request. ok=false marks a request with no stable identity (workload
-// without a key): it must bypass the artifact store entirely.
-func (r *Request) stageKeys() (sk stageKeys, ok bool, err error) {
-	if r.Workload != nil && r.WorkloadKey == "" {
-		return sk, false, nil
-	}
-	mh := r.ModuleHash
-	if mh == ([32]byte{}) {
-		blob, err := cubin.Pack(r.Module)
-		if err != nil {
-			return sk, false, fmt.Errorf("service: stage keys: %w", err)
-		}
-		mh = sha256.Sum256(blob)
-	}
-	gh, err := gpuModelHash(r.GPU)
-	if err != nil {
-		return sk, false, err
-	}
-
-	// Frontend: the arch-independent half — module content only.
-	var fbuf [128]byte
-	fb := appendStr(fbuf[:0], "schema", stageSchema)
-	fb = appendStr(fb, "stage", store.StageFrontend)
-	fb = appendBytes(fb, "module", mh[:])
-	sk.frontend = sha256.Sum256(fb)
-
-	// Shared simulation identity: everything that feeds gpusim.Run.
-	var sbuf [1024]byte
-	sim := appendStr(sbuf[:0], "schema", stageSchema)
-	sim = appendBytes(sim, "module", mh[:])
-	sim = appendStr(sim, "entry", r.Launch.Entry)
-	sim = appendI64(sim, "gridX", int64(r.Launch.Grid.X))
-	sim = appendI64(sim, "gridY", int64(r.Launch.Grid.Y))
-	sim = appendI64(sim, "gridZ", int64(r.Launch.Grid.Z))
-	sim = appendI64(sim, "blockX", int64(r.Launch.Block.X))
-	sim = appendI64(sim, "blockY", int64(r.Launch.Block.Y))
-	sim = appendI64(sim, "blockZ", int64(r.Launch.Block.Z))
-	sim = appendI64(sim, "regs", int64(r.Launch.RegsPerThread))
-	sim = appendI64(sim, "shared", int64(r.Launch.SharedMemPerBlock))
-	sim = appendStr(sim, "gpu", arch.KeyOf(r.GPU))
-	sim = appendBytes(sim, "gpuModel", gh[:])
-	sim = appendI64(sim, "simSMs", int64(r.SimSMs))
-	sim = appendI64(sim, "seed", int64(r.Seed))
-	sim = appendStr(sim, "workload", r.WorkloadKey)
-
-	var mbuf [1024 + 64]byte
-	mb := append(mbuf[:0], sim...)
-	mb = appendStr(mb, "stage", store.StageMeasure)
-	sk.measure = sha256.Sum256(mb)
-
-	// Profile adds the sampling period. For KindMeasure requests the
-	// normalized period is 0 and the profile/advice keys go unused.
-	var pbuf [1024 + 64]byte
-	pb := append(pbuf[:0], sim...)
-	pb = appendI64(pb, "period", int64(r.SamplePeriod))
-	pb = appendStr(pb, "stage", store.StageProfile)
-	sk.profile = sha256.Sum256(pb)
-
-	// Advice depends on the profile it blames plus the blamer knobs.
-	var abuf [512]byte
-	ab := appendStr(abuf[:0], "schema", stageSchema)
-	ab = appendStr(ab, "stage", store.StageAdvice)
-	ab = appendBytes(ab, "profileKey", sk.profile[:])
-	ab = appendBool(ab, "noOpcodePrune", r.Blamer.DisableOpcodePrune)
-	ab = appendBool(ab, "noDominatorPrune", r.Blamer.DisableDominatorPrune)
-	ab = appendBool(ab, "noLatencyPrune", r.Blamer.DisableLatencyPrune)
-	ab = appendBool(ab, "noIssueWeight", r.Blamer.DisableIssueWeight)
-	ab = appendBool(ab, "noPathWeight", r.Blamer.DisablePathWeight)
-	ab = appendI64(ab, "maxSliceSteps", int64(r.Blamer.MaxSliceSteps))
-	sk.advice = sha256.Sum256(ab)
-
-	return sk, true, nil
-}
 
 // frontendArtifact is the memory-only stage artifact for the module
 // front-end: the first module seen under a content hash plus its
@@ -159,9 +42,13 @@ type frontendArtifact struct {
 type measureArtifact struct {
 	Cycles int64 `json:"cycles"`
 	// ElapsedMS is the producing run's wall-clock cost: a store hit
-	// replays it, mirroring the result cache's "cost the cache avoided"
+	// replays it, mirroring the cache's "cost the cache avoided"
 	// contract so warm responses stay byte-identical to the cold run.
 	ElapsedMS float64 `json:"elapsedMs"`
+
+	// view is the prebuilt Cached=true response every later request
+	// whose final stage key is this artifact's is answered with.
+	view *Response
 }
 
 // profileArtifact is the decoded profile-stage artifact.
@@ -169,6 +56,7 @@ type profileArtifact struct {
 	prof      *profiler.Profile
 	digest    string
 	elapsedMS float64
+	view      *Response // the Cached=true profile response, as measureArtifact.view
 }
 
 // profileEnvelope is the profile-stage blob payload. Profile rides as
@@ -185,6 +73,7 @@ type adviceArtifact struct {
 	advice    *adv.Advice
 	report    string
 	elapsedMS float64
+	view      *Response // the Cached=true advise response, as measureArtifact.view
 }
 
 // adviceEnvelope is the advice-stage blob payload. The rendered report
@@ -272,17 +161,16 @@ func decodeAdvice(payload []byte) (*adviceArtifact, error) {
 	return &adviceArtifact{advice: env.Advice, report: env.Report, elapsedMS: env.ElapsedMS}, nil
 }
 
-// stagesEnabled reports whether any artifact backend is configured.
-func (e *Engine) stagesEnabled() bool {
-	return e.stages != nil || e.disk != nil
-}
-
 // stageLookup resolves one stage artifact: memory first, then disk
 // (decoding and re-warming memory on a disk hit). A disk blob whose
 // payload fails artifact-level validation is reported corrupt and
 // removed — checksum-valid framing proves the bytes survived, not that
-// they decode to a well-formed artifact.
+// they decode to a well-formed artifact. The zero key (a request
+// without a stable identity) is never looked up.
 func (e *Engine) stageLookup(stage string, key store.Key, decode func([]byte) (any, error)) any {
+	if key == (store.Key{}) {
+		return nil
+	}
 	if v, ok := e.stages.Get(stage, key); ok {
 		return v
 	}
@@ -302,7 +190,17 @@ func (e *Engine) stageLookup(stage string, key store.Key, decode func([]byte) (a
 }
 
 func (e *Engine) measureArtifactGet(key store.Key) *measureArtifact {
-	v := e.stageLookup(store.StageMeasure, key, func(p []byte) (any, error) { return decodeMeasure(p) })
+	v := e.stageLookup(store.StageMeasure, key, func(p []byte) (any, error) {
+		ma, err := decodeMeasure(p)
+		if err != nil {
+			return nil, err
+		}
+		ma.view = &Response{
+			Key: keyHex(key), Cached: true, Kind: KindMeasure,
+			Cycles: ma.Cycles, ElapsedMS: ma.ElapsedMS, memo: &respMemo{},
+		}
+		return ma, nil
+	})
 	if v == nil {
 		return nil
 	}
@@ -310,25 +208,87 @@ func (e *Engine) measureArtifactGet(key store.Key) *measureArtifact {
 }
 
 func (e *Engine) profileArtifactGet(key store.Key) *profileArtifact {
-	v := e.stageLookup(store.StageProfile, key, func(p []byte) (any, error) { return decodeProfile(p) })
+	v := e.stageLookup(store.StageProfile, key, func(p []byte) (any, error) {
+		pa, err := decodeProfile(p)
+		if err != nil {
+			return nil, err
+		}
+		return pa.withView(key), nil
+	})
 	if v == nil {
 		return nil
 	}
 	return v.(*profileArtifact)
 }
 
-func (e *Engine) adviceArtifactGet(key store.Key) *adviceArtifact {
-	v := e.stageLookup(store.StageAdvice, key, func(p []byte) (any, error) { return decodeAdvice(p) })
+// adviceArtifactGet resolves the advice artifact blaming pa, the
+// profile artifact its key derives from.
+func (e *Engine) adviceArtifactGet(key store.Key, pa *profileArtifact) *adviceArtifact {
+	v := e.stageLookup(store.StageAdvice, key, func(p []byte) (any, error) {
+		aa, err := decodeAdvice(p)
+		if err != nil {
+			return nil, err
+		}
+		// Context is not serializable (it is a pointer graph into the
+		// module); store-served advise responses carry a nil Context.
+		// Every in-repo consumer reads Advice/Report only.
+		aa.view = &Response{
+			Key: keyHex(key), Cached: true, Kind: KindAdvise,
+			Cycles: pa.prof.Cycles, ElapsedMS: aa.elapsedMS,
+			Profile: pa.prof, ProfileDigest: pa.digest,
+			Advice: aa.advice, Report: aa.report, memo: &respMemo{},
+		}
+		return aa, nil
+	})
 	if v == nil {
 		return nil
 	}
 	return v.(*adviceArtifact)
 }
 
+// withView attaches the artifact's Cached=true profile response. Every
+// profile artifact carries one, whichever kind of request produced it,
+// because the profile key is also the final key of a profile request.
+func (pa *profileArtifact) withView(key store.Key) *profileArtifact {
+	pa.view = &Response{
+		Key: keyHex(key), Cached: true, Kind: KindProfile,
+		Cycles: pa.prof.Cycles, ElapsedMS: pa.elapsedMS,
+		Profile: pa.prof, ProfileDigest: pa.digest, memo: &respMemo{},
+	}
+	return pa
+}
+
+// finalView returns the prebuilt response of a final-stage artifact
+// held in memory (nil for the frontend stage, which is never final).
+func finalView(v any) *Response {
+	switch a := v.(type) {
+	case *measureArtifact:
+		return a.view
+	case *profileArtifact:
+		return a.view
+	case *adviceArtifact:
+		return a.view
+	}
+	return nil
+}
+
+// keyHex renders a stage key for Response.Key ("" for the zero key of
+// a request without a stable identity).
+func keyHex(key store.Key) string {
+	if key == (store.Key{}) {
+		return ""
+	}
+	return hex.EncodeToString(key[:])
+}
+
 // stagePut publishes a freshly-computed stage artifact to the memory
 // backend and, when configured, the disk backend. Encoding failures
-// only cost persistence, never the request.
+// only cost persistence, never the request. Artifacts of a request
+// without a stable identity (zero key) are never published.
 func (e *Engine) stagePut(stage string, key store.Key, artifact any, encode func() ([]byte, error)) {
+	if key == (store.Key{}) {
+		return
+	}
 	e.stages.Add(stage, key, artifact)
 	if e.disk == nil {
 		return
@@ -341,8 +301,13 @@ func (e *Engine) stagePut(stage string, key store.Key, artifact any, encode func
 }
 
 // frontendFor returns the shared front-end artifact for the request's
-// module, creating it on first sight.
+// module, creating it on first sight. Without memory caching, or for a
+// request without a stable identity (zero key), every run builds its
+// own.
 func (e *Engine) frontendFor(n *Request, key store.Key) *frontendArtifact {
+	if key == (store.Key{}) {
+		return &frontendArtifact{mod: n.Module}
+	}
 	if v, ok := e.stages.Get(store.StageFrontend, key); ok {
 		return v.(*frontendArtifact)
 	}
@@ -373,50 +338,30 @@ func (e *Engine) structureOf(f *frontendArtifact) (*structure.Structure, error) 
 	return f.st, f.stErr
 }
 
-// serveFromStore attempts to satisfy the whole request from stage
-// artifacts without running any pipeline stage. nil means at least one
-// required stage is missing and the caller must execute. Store-served
-// responses mirror the result cache's hit contract: Cached=true and
-// the producing run's ElapsedMS.
-func (e *Engine) serveFromStore(n *Request, key string, sk *stageKeys) *Response {
-	switch n.Kind {
+// serveFromStore answers a flight from stored stage artifacts (memory,
+// then disk) without running any pipeline stage, returning the final
+// artifact's prebuilt Cached=true view. nil means a stage the request
+// needs is missing and the flight must run.
+func (e *Engine) serveFromStore(kind Kind, sk *stageKeys) *Response {
+	var view *Response
+	switch kind {
 	case KindMeasure:
-		ma := e.measureArtifactGet(sk.measure)
-		if ma == nil {
-			return nil
-		}
-		return &Response{
-			Key: key, Cached: true, Kind: n.Kind,
-			Cycles: ma.Cycles, ElapsedMS: ma.ElapsedMS, memo: &respMemo{},
+		if ma := e.measureArtifactGet(sk.measure); ma != nil {
+			view = ma.view
 		}
 	case KindProfile:
-		pa := e.profileArtifactGet(sk.profile)
-		if pa == nil {
-			return nil
-		}
-		return &Response{
-			Key: key, Cached: true, Kind: n.Kind,
-			Cycles: pa.prof.Cycles, ElapsedMS: pa.elapsedMS,
-			Profile: pa.prof, ProfileDigest: pa.digest, memo: &respMemo{},
+		if pa := e.profileArtifactGet(sk.profile); pa != nil {
+			view = pa.view
 		}
 	case KindAdvise:
-		pa := e.profileArtifactGet(sk.profile)
-		if pa == nil {
-			return nil
-		}
-		aa := e.adviceArtifactGet(sk.advice)
-		if aa == nil {
-			return nil
-		}
-		// Context is not serializable (it is a pointer graph into the
-		// module); store-served advise responses carry a nil Context.
-		// Every in-repo consumer reads Advice/Report only.
-		return &Response{
-			Key: key, Cached: true, Kind: n.Kind,
-			Cycles: pa.prof.Cycles, ElapsedMS: aa.elapsedMS,
-			Profile: pa.prof, ProfileDigest: pa.digest,
-			Advice: aa.advice, Report: aa.report, memo: &respMemo{},
+		if pa := e.profileArtifactGet(sk.profile); pa != nil {
+			if aa := e.adviceArtifactGet(sk.advice, pa); aa != nil {
+				view = aa.view
+			}
 		}
 	}
-	return nil
+	if view != nil {
+		e.count(&e.stats.stageServed)
+	}
+	return view
 }

@@ -2,13 +2,16 @@ package service
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"gpa/internal/arch"
 	"gpa/internal/gpusim"
+	"gpa/internal/qos"
 	"gpa/internal/store"
 )
 
@@ -118,11 +121,11 @@ func TestSweepStructureAnalysisOnce(t *testing.T) {
 		t.Skip("needs at least two registered architectures")
 	}
 
-	// Cold per-arch baselines on stage-cache-free engines.
+	// Cold per-arch baselines on engines without memory caching.
 	want := make([]string, len(gpus))
 	wantDigest := make([]string, len(gpus))
 	for i, g := range gpus {
-		e := New(Options{Workers: 1, StageEntries: -1})
+		e := New(Options{Workers: 1, CacheEntries: -1})
 		r := testRequest(t, KindAdvise)
 		r.GPU = g
 		resp, err := e.Do(context.Background(), r)
@@ -132,12 +135,12 @@ func TestSweepStructureAnalysisOnce(t *testing.T) {
 		want[i] = resp.Report
 		wantDigest[i] = resp.ProfileDigest
 		if st := e.Stats(); st.StructureBuilds != 1 {
-			t.Fatalf("%s: stage-cache-free engine built structure %d times, want 1",
+			t.Fatalf("%s: engine without memory caching built structure %d times, want 1",
 				arch.KeyOf(g), st.StructureBuilds)
 		}
 	}
 
-	// The sweep: one engine, stage caching on, all archs concurrently.
+	// The sweep: one engine, memory caching on, all archs concurrently.
 	// Each request assembles its own content-equal module, so reuse
 	// must come from content addressing, not pointer identity.
 	e := New(Options{Workers: 4})
@@ -178,8 +181,8 @@ func TestSweepStructureAnalysisOnce(t *testing.T) {
 // arriving after a profile job over the same inputs reuses the stored
 // profile instead of re-simulating.
 func TestProfileFeedsAdvise(t *testing.T) {
-	// The cold advise baseline (separate engine, no stage caching).
-	cold := New(Options{Workers: 1, StageEntries: -1})
+	// The cold advise baseline (separate engine, no memory caching).
+	cold := New(Options{Workers: 1, CacheEntries: -1})
 	coldResp, err := cold.Do(context.Background(), testRequest(t, KindAdvise))
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +311,7 @@ func TestDiskStoreRestartWarm(t *testing.T) {
 func TestDiskStoreFaultInjectionRecomputes(t *testing.T) {
 	// Store-free cold references, one per kind (the simulator is
 	// deterministic, so these are THE right answers everywhere).
-	coldEng := New(Options{Workers: 1, StageEntries: -1})
+	coldEng := New(Options{Workers: 1, CacheEntries: -1})
 	cold, err := coldEng.Do(context.Background(), testRequest(t, KindAdvise))
 	if err != nil {
 		t.Fatal(err)
@@ -437,6 +440,157 @@ func TestDiskStoreFaultInjectionRecomputes(t *testing.T) {
 					t.Error("healed report differs from cold run")
 				}
 			})
+		}
+	}
+}
+
+// TestStageKeysGolden pins the four stage keys of one fixed request.
+// Stage keys name blobs in on-disk store directories, so any change to
+// their derivation must come with a stageSchema bump; an unintended
+// change here would silently turn every existing store into misses.
+func TestStageKeysGolden(t *testing.T) {
+	sk, ok, err := testRequest(t, KindAdvise).stageKeys()
+	if err != nil || !ok {
+		t.Fatalf("stageKeys: %v, ok=%v", err, ok)
+	}
+	for _, c := range []struct {
+		stage string
+		got   store.Key
+		want  string
+	}{
+		{store.StageFrontend, sk.frontend, "6b237b7f6c800acd828fff8a509374155e4827bec11ed84e564c44165162eb2d"},
+		{store.StageMeasure, sk.measure, "ffe0326e11ca48e36d45b876cc6c3965d34172db65d5f6fb9e65c3ef60fa038a"},
+		{store.StageProfile, sk.profile, "70e2ab6521250e6f8b2c32e7ea5a7145e9dada4bf9c5742a95dba8dc340192cf"},
+		{store.StageAdvice, sk.advice, "4b4bc1f861b533f3c4bd3f917b03c7485e346dd74b00e72dd470e518bf7f9c06"},
+	} {
+		if got := hex.EncodeToString(c.got[:]); got != c.want {
+			t.Errorf("%s key = %s, want %s", c.stage, got, c.want)
+		}
+	}
+	// The final key follows the kind; measure requests normalize the
+	// sampling period away, so their measure key is the same.
+	for kind, want := range map[Kind]store.Key{KindMeasure: sk.measure, KindProfile: sk.profile, KindAdvise: sk.advice} {
+		ks, _, err := testRequest(t, kind).stageKeys()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ks.final != want {
+			t.Errorf("%v: final key is not the %v stage's", kind, kind)
+		}
+		if d, _ := testRequest(t, kind).Digest(); d != hex.EncodeToString(want[:]) {
+			t.Errorf("%v: Digest = %s, want the final stage key", kind, d)
+		}
+	}
+}
+
+// TestProfileIgnoresBlamerOptions: blamer options feed only the advice
+// stage, so two profile requests differing only in them share one key,
+// one flight and one simulation.
+func TestProfileIgnoresBlamerOptions(t *testing.T) {
+	a := testRequest(t, KindProfile)
+	b := testRequest(t, KindProfile)
+	b.Blamer.DisableOpcodePrune = true
+	b.Blamer.MaxSliceSteps = 3
+	da, err := a.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db, _ := b.Digest(); db != da {
+		t.Fatalf("blamer options changed a profile request's key: %s vs %s", da, db)
+	}
+
+	e := New(Options{Workers: 1})
+	// Hold the only worker so the first flight queues and the second
+	// request can only join it.
+	release, err := e.adm.Acquire(context.Background(), "hog", qos.LaneInteractive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	resps := make([]*Response, 2)
+	for i, r := range []*Request{a, b} {
+		wg.Add(1)
+		go func(i int, r *Request) {
+			defer wg.Done()
+			resp, err := e.Do(context.Background(), r)
+			if err != nil {
+				t.Error(err)
+			}
+			resps[i] = resp
+		}(i, r)
+		if i == 0 {
+			waitForQueued(t, e, 1)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for e.Stats().Coalesced != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("second request never joined the flight: %+v", e.Stats())
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	release()
+	wg.Wait()
+	st := e.Stats()
+	if st.Misses != 1 || st.Coalesced != 1 || st.Runs != 1 || st.Sims != 1 {
+		t.Errorf("misses/coalesced/runs/sims = %d/%d/%d/%d, want 1/1/1/1",
+			st.Misses, st.Coalesced, st.Runs, st.Sims)
+	}
+	if resps[0] == nil || resps[1] == nil || resps[0].ProfileDigest != resps[1].ProfileDigest {
+		t.Error("the two profile requests got different profiles")
+	}
+}
+
+// TestMemoryViewHit: a repeat of a request whose final-stage artifact
+// is in memory is answered with that artifact's prebuilt view. It
+// counts a hit and touches no other tier: no flight (misses), no run,
+// and no store-served flight — both after an in-process run and after
+// a restart that served the first request from disk.
+func TestMemoryViewHit(t *testing.T) {
+	dir := t.TempDir()
+	for _, k := range []Kind{KindMeasure, KindProfile, KindAdvise} {
+		if _, err := newDiskEngine(t, dir).Do(context.Background(), testRequest(t, k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, label := range []string{"in-process", "restarted"} {
+		e := New(Options{Workers: 1})
+		if label == "restarted" {
+			e = newDiskEngine(t, dir)
+		}
+		for _, k := range []Kind{KindMeasure, KindProfile, KindAdvise} {
+			first, err := e.Do(context.Background(), testRequest(t, k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := e.Stats()
+			warm, err := e.Do(context.Background(), testRequest(t, k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := e.Do(context.Background(), testRequest(t, k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := e.Stats()
+			if !warm.Cached || warm != again {
+				t.Errorf("%s %v: memory hits must return the one prebuilt Cached view", label, k)
+			}
+			if warm.Report != first.Report || warm.ProfileDigest != first.ProfileDigest || warm.Cycles != first.Cycles {
+				t.Errorf("%s %v: memory hit differs from the first answer", label, k)
+			}
+			if (warm.Context != nil) != (label == "in-process" && k == KindAdvise) {
+				t.Errorf("%s %v: Context = %v, want it only on views built by an in-process run", label, k, warm.Context)
+			}
+			if after.Hits != before.Hits+2 || after.Runs != before.Runs ||
+				after.Misses != before.Misses || after.StageServed != before.StageServed {
+				t.Errorf("%s %v: hits/runs/misses/stageServed moved %d/%d/%d/%d, want +2/0/0/0", label, k,
+					after.Hits-before.Hits, after.Runs-before.Runs,
+					after.Misses-before.Misses, after.StageServed-before.StageServed)
+			}
+		}
+		if st := e.Stats(); label == "restarted" && (st.Runs != 0 || st.StageServed != 3) {
+			t.Errorf("restarted engine: runs=%d stageServed=%d, want 0/3", st.Runs, st.StageServed)
 		}
 	}
 }

@@ -33,8 +33,8 @@ type Result struct {
 	Kind string `json:"kind"`
 	// TraceID is the per-request trace identifier echoed back to the
 	// client (cmd/gpad stamps it from X-Request-Id or mints one).
-	// Transport-level observability only: it is excluded from the cache
-	// digest, every stage key, and the determinism contract — two
+	// Transport-level observability only: it is excluded from every
+	// stage key and the determinism contract — two
 	// requests with different trace IDs return otherwise byte-identical
 	// results. Empty for library-direct results.
 	TraceID string `json:"traceId,omitempty"`
