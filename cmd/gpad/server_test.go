@@ -487,6 +487,46 @@ func TestAnalysisErrorIsUnprocessable(t *testing.T) {
 	}
 }
 
+// fallThroughSrc assembles, but its only instruction that leaves the
+// loop is a conditional branch: a warp that does not take it runs off
+// the end of the function.
+const fallThroughSrc = ".func k global\nL:\n\tISETP P0, R0, 0x1 {S:4}\n\t@P0 BRA L {S:5}\n"
+
+func TestFallThroughKernelIsUnprocessable(t *testing.T) {
+	ts := newTestServer(t)
+	k, err := gpa.LoadKernelAsm(fallThroughSrc, gpa.Launch{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := k.SaveBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		body map[string]any
+	}{
+		{"asm", map[string]any{"asm": fallThroughSrc}},
+		{"binary", map[string]any{"binary": blob, "entry": "k"}},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/advise", tc.body)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%s: status %d, want 422: %s", tc.name, resp.StatusCode, body)
+		}
+		var out errorBody
+		if err := json.Unmarshal(body, &out); err != nil || out.Error.Code != "bad_kernel" {
+			t.Errorf("%s: error code = %q, want bad_kernel (%s)", tc.name, out.Error.Code, body)
+		}
+	}
+	// The server survived: a well-formed kernel is still served.
+	resp, body := postJSON(t, ts.URL+"/v1/advise", map[string]any{
+		"asm": testKernelSrc, "gridX": 160, "blockX": 256,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("well-formed kernel after a rejected one: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 func TestBinaryRoundTrip(t *testing.T) {
 	ts := newTestServer(t)
 	k, err := gpa.LoadKernelAsm(testKernelSrc, gpa.Launch{GridX: 160, BlockX: 256})

@@ -120,7 +120,10 @@ func TestEventSkipMatchesCycleStepper(t *testing.T) {
 				stepRes, stepSamples := run(true, 1)
 				for _, par := range []int{1, 4} {
 					skipRes, skipSamples := run(false, par)
-					if !reflect.DeepEqual(stepRes, skipRes) {
+					// Fast-forward may fire on the periodic cases; its
+					// activity counters are the only fields the stepper
+					// cannot reproduce.
+					if !reflect.DeepEqual(stepRes, zeroFFCounters(skipRes)) {
 						t.Errorf("parallelism %d: result differs from cycle stepper:\nstep: %+v\nskip: %+v",
 							par, stepRes, skipRes)
 					}

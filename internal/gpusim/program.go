@@ -116,10 +116,14 @@ func buildMeta(in *sass.Instruction) instrMeta {
 }
 
 // Load flattens a module. Call targets must name functions present in
-// the module.
+// the module, every other branch must name a label in its function,
+// and no function may fall off its end: its last instruction must be
+// EXIT, RET or an unconditional branch (the run loop would otherwise
+// fetch past the function). Violations wrap ErrBadKernel; both the
+// SASS and the CUBIN front ends reach the simulator through here.
 func Load(m *sass.Module) (*Program, error) {
 	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("gpusim: %w", err)
+		return nil, fmt.Errorf("gpusim: %w: %w", apierr.ErrBadKernel, err)
 	}
 	p := &Program{Module: m}
 	for fi, f := range m.Functions {
@@ -135,6 +139,10 @@ func Load(m *sass.Module) (*Program, error) {
 		in := &p.Instrs[i]
 		tgt, ok := in.BranchTarget()
 		if !ok {
+			if in.Opcode.Info().Branch {
+				return nil, fmt.Errorf("gpusim: %w: %s+0x%x: %s without a target label",
+					apierr.ErrBadKernel, p.FuncName(i), in.PC, in.Opcode)
+			}
 			continue
 		}
 		if in.Opcode == sass.OpCAL {
@@ -158,6 +166,13 @@ func Load(m *sass.Module) (*Program, error) {
 			return nil, fmt.Errorf("gpusim: %w: %s: branch target out of function", apierr.ErrBadKernel, f.Name)
 		}
 		p.target[i] = p.Base[fi] + local
+	}
+	for fi, f := range m.Functions {
+		last := &p.Instrs[p.Base[fi]+len(f.Instrs)-1]
+		if !last.IsExit() && !(last.Opcode.Info().Branch && last.Opcode != sass.OpCAL && last.Unconditional()) {
+			return nil, fmt.Errorf("gpusim: %w: %s+0x%x: %s can fall off the end of the function",
+				apierr.ErrBadKernel, f.Name, last.PC, last.Opcode)
+		}
 	}
 	p.meta = make([]instrMeta, len(p.Instrs))
 	for i := range p.Instrs {

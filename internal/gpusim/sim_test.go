@@ -2,9 +2,12 @@ package gpusim
 
 import (
 	"context"
+	"errors"
 	"testing"
 
+	"gpa/internal/apierr"
 	"gpa/internal/arch"
+	"gpa/internal/cubin"
 	"gpa/internal/sass"
 )
 
@@ -362,5 +365,45 @@ func TestSamplesCarryPCsWithinProgram(t *testing.T) {
 	}
 	if withReason == 0 {
 		t.Error("expected some stall samples")
+	}
+}
+
+// TestLoadRejectsFallThrough pins the front-end guard against kernels
+// the run loop cannot execute: a function whose last instruction can
+// fall through (here a conditional branch) and branches without a
+// resolvable target both assemble, and both used to panic the
+// simulator with an out-of-range PC. Load must reject them as
+// ErrBadKernel on the SASS path and after a CUBIN round trip.
+func TestLoadRejectsFallThrough(t *testing.T) {
+	for _, src := range []string{
+		".func k global\nL:\n\tISETP P0, R0, 0x1 {S:4}\n\t@P0 BRA L {S:5}\n",
+		".func k global\n\tBRX R0 {S:5}\n\tEXIT\n",
+		".func k global\n\tBRA {S:5}\n\tEXIT\n",
+		".func k global\n\tJMP R2 {S:5}\n",
+	} {
+		m, err := sass.Assemble(src)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		blob, err := cubin.Pack(m)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		unpacked, err := cubin.Unpack(blob)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		for _, mod := range []*sass.Module{m, unpacked} {
+			if _, err := Load(mod); !errors.Is(err, apierr.ErrBadKernel) {
+				t.Errorf("%q: Load error %v, want ErrBadKernel", src, err)
+			}
+		}
+	}
+	// Predicated EXIT and RET end the warp whether or not the predicate
+	// holds, so they are valid last instructions.
+	for _, src := range []string{".func k global\n\t@P0 EXIT\n", ".func k global\n\t@P0 RET\n"} {
+		if _, err := Load(sass.MustAssemble(src)); err != nil {
+			t.Errorf("%q: %v", src, err)
+		}
 	}
 }

@@ -344,12 +344,6 @@ func (s *sm) ready(sc *scheduler, w *warpState, now int64) (bool, StallReason, i
 	return true, ReasonNotSelected, now
 }
 
-// readiness is the two-result form of ready used by the sampling path.
-func (s *sm) readiness(sc *scheduler, w *warpState, now int64) (bool, StallReason) {
-	ok, reason, _ := s.ready(sc, w, now)
-	return ok, reason
-}
-
 func spaceNeedsMSHR(op sass.Opcode) bool {
 	switch op.Info().Class {
 	case sass.ClassMemGlobal, sass.ClassMemLocal, sass.ClassMemGeneric:
@@ -642,53 +636,48 @@ func (s *sm) popRelease() {
 // over the warp schedulers (one scheduler per period, per Figure 1 of
 // the paper) and rotates over the scheduler's resident warps.
 func (s *sm) sampleTick(now int64) {
-	sink := s.sink
-	if sink == nil {
+	if s.sink == nil {
 		return
 	}
-	schedIdx := int(s.tick) % len(s.scheds)
-	s.tick++
-	sc := &s.scheds[schedIdx]
-	// Pick the next non-exited warp in rotation.
-	n := len(sc.warps)
-	if n == 0 {
-		return
-	}
-	var w *warpState
-	widx := -1
-	for i := 0; i < n; i++ {
-		cand := sc.warps[(sc.samplePtr+i)%n]
-		if !s.warps[cand].exited {
-			widx = cand
-			sc.samplePtr = (sc.samplePtr + i + 1) % n
-			break
-		}
-	}
+	si, widx := s.nextSampled()
 	if widx < 0 {
 		return
 	}
-	w = &s.warps[widx]
-	smp := Sample{
-		SM:        s.id,
-		Scheduler: schedIdx,
-		Warp:      widx,
-		Cycle:     now,
-		Active:    sc.issuedNow,
+	c := s.observe(&s.scheds[si], &s.warps[widx], now)
+	s.sink.Record(Sample{
+		SM: s.id, Scheduler: si, Warp: widx, Cycle: now,
+		PC: int(c.pc), Active: c.active, Reason: c.reason,
+	})
+}
+
+// nextSampled advances the sampling unit by one tick: it picks the
+// tick's scheduler and the next non-exited warp in that scheduler's
+// rotation (-1 when it has none). It is the only writer of the
+// sampling state, and it reads nothing but the exited flags.
+func (s *sm) nextSampled() (sched, widx int) {
+	sched = int(s.tick) % len(s.scheds)
+	s.tick++
+	sc := &s.scheds[sched]
+	n := len(sc.warps)
+	for i := 0; i < n; i++ {
+		cand := sc.warps[(sc.samplePtr+i)%n]
+		if !s.warps[cand].exited {
+			sc.samplePtr = (sc.samplePtr + i + 1) % n
+			return sched, cand
+		}
 	}
-	if w.lastIssueCycle == now && w.lastIssueCycle > 0 {
-		smp.PC = w.lastIssuedPC
-		smp.Reason = ReasonNone
-	} else {
-		smp.PC = w.pc
-		_, reason := s.readiness(sc, w, now)
-		smp.Reason = reason
+	return sched, -1
+}
+
+// observe is what warp w reports to a sample tick at cycle now: the
+// instruction it issued this cycle ("selected"), else its current PC
+// and stall reason; Active is whether its scheduler issued this cycle.
+func (s *sm) observe(sc *scheduler, w *warpState, now int64) sampleCell {
+	if w.lastIssueCycle == now && now > 0 {
+		return sampleCell{pc: int32(w.lastIssuedPC), reason: ReasonNone, active: sc.issuedNow}
 	}
-	sink.Record(smp)
-	if st := &s.steady; st.recording {
-		rel := smp
-		rel.Cycle -= st.baseNow
-		st.samples = append(st.samples, rel)
-	}
+	_, reason, _ := s.ready(sc, w, now)
+	return sampleCell{pc: int32(w.pc), reason: reason, active: sc.issuedNow}
 }
 
 // run drives the SM to completion and returns the final cycle.
@@ -743,6 +732,9 @@ func (s *sm) run(ctx context.Context, maxCycles int64) (int64, error) {
 			s.sampleTick(now)
 			nextTick += period
 		}
+		if s.steady.cellNext == now {
+			s.captureCells(now)
+		}
 		if s.steady.anchorHit {
 			// The anchor warp took a loop back-edge this cycle: run the
 			// steady-state detector on the post-scan, post-tick state —
@@ -775,15 +767,19 @@ func (s *sm) run(ctx context.Context, maxCycles int64) (int64, error) {
 		if next <= now {
 			next = now + 1
 		}
-		if period > 0 && nextTick < next {
-			// Fire the sample ticks inside the skipped span; they all
-			// observe the same stalled state.
+		if (period > 0 && nextTick < next) || s.steady.cellNext < next {
+			// Fire the sample ticks (and a recording's cell captures)
+			// inside the skipped span; they all observe the same
+			// stalled state.
 			for si := range s.scheds {
 				s.scheds[si].issuedNow = false
 			}
-			for nextTick < next {
+			for period > 0 && nextTick < next {
 				s.sampleTick(nextTick)
 				nextTick += period
+			}
+			for s.steady.cellNext < next {
+				s.captureCells(s.steady.cellNext)
 			}
 		}
 		now = next

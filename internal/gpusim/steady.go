@@ -13,34 +13,48 @@ package gpusim
 //     RELATIVE to the current cycle (see (*sm).fingerprint). A
 //     fingerprint matching the previous anchor's (or, for periods
 //     spanning several back-edges, a retained power-of-two anchor à la
-//     Brent's algorithm) makes the span a period candidate.
+//     Brent's algorithm) makes the span a period candidate of P cycles.
+//     Sampling state (the tick phase, the tick counter, each
+//     scheduler's sampled-warp pointer) is not in the fingerprint: a
+//     sample tick only reads simulation state, so sampled and unsampled
+//     runs lock the same periods.
 //  2. RECORD. The next candidate period is simulated normally while
 //     recording a template: every branch execution (with its Taken
-//     outcome), every emitted sample (cycle kept relative to the
-//     period start), the sparse per-PC issue delta, and the
-//     instruction-cache lines touched. The recording is valid only if
-//     the fingerprint at the end matches the start exactly and the
-//     period was instruction-cache-miss free (then the untouched LRU
-//     stamps are never read in-period and stay out of the fingerprint
-//     soundly).
+//     outcome), the sparse per-PC issue delta, and the
+//     instruction-cache lines touched. With sampling on it also fills a
+//     cell table: at every relative cycle r ≡ r₀ (mod g), g =
+//     gcd(P, SamplePeriod), the (PC, Reason, Active) each warp would
+//     report if a tick landed there. Ticks inside a fast-forwarded span
+//     fall only on those residues, so P/g rows of cells cover every
+//     tick of every skipped period whatever the tick phase. The
+//     recording is valid only if it lasts exactly P cycles, the
+//     fingerprint at the end matches the start, and the period was
+//     instruction-cache-miss free (then the untouched LRU stamps are
+//     never read in-period and stay out of the fingerprint soundly).
 //  3. FAST-FORWARD. At an anchor whose fingerprint matches the
 //     template's, k whole periods are skipped at once: the workload is
 //     asked (through the TakenStability capability) for how many
 //     periods the recorded branch outcomes stay valid, k is capped by
 //     MaxCycles, every pending absolute cycle field is shifted by k·P
-//     (sentinels and expired gates preserved), visits and issue
-//     counters advance by k times the recorded deltas, and the sample
-//     ticks inside the span are synthesized from the template —
-//     byte-identical to what stepping would have emitted, because the
-//     span's state is byte-equivalent by construction.
+//     (sentinels and expired gates preserved), and visits and issue
+//     counters advance by k times the recorded deltas. Each sample tick
+//     inside the span is synthesized the way sampleTick would take it:
+//     the tick counter picks the scheduler, the scheduler's sampled-warp
+//     pointer walks its live warps, and the cell at
+//     ((t − anchor − r_first) mod P)/g supplies what that warp reports —
+//     byte-identical to stepping, because the span's state is
+//     byte-equivalent by construction.
 //
 // Fall back to normal event-skipped stepping whenever no period is
 // found, a recording is invalidated (fingerprint drift, icache miss,
 // block rotation or barrier phase change — all of which perturb the
-// fingerprint), the workload cannot promise future branch outcomes, or
-// zero whole periods fit before the next outcome change. The retained
-// cycle stepper (Config.stepEveryCycle) stays the oracle: results and
-// sample streams must be bit-identical with memoization on.
+// fingerprint — or a period length other than the candidate's), the
+// workload cannot promise future branch outcomes, zero whole periods
+// fit before the next outcome change. A sampled anchor whose tick
+// residue mod g differs from the recording's also falls back, and
+// records the period again at its own phase. The retained cycle
+// stepper (Config.stepEveryCycle) stays the oracle: results and sample
+// streams must be bit-identical with memoization on.
 
 // TakenStability is an optional Workload capability that enables
 // steady-state fast-forward. Implementations promise that Taken is a
@@ -105,6 +119,21 @@ type steadyTouch struct {
 	relStamp int64
 }
 
+// sampleCell is what one warp would report to a sample tick at one
+// recorded relative cycle: the sampled PC, the stall reason, and
+// whether its scheduler issued that cycle.
+type sampleCell struct {
+	pc     int32
+	reason StallReason
+	active bool
+}
+
+// steadyMaxCells caps a recording's cell table (rows × warps, 8 bytes a
+// cell), which a pooled SM shell keeps between runs. A sampled period
+// whose table would exceed it is not recorded and steps instead; the
+// Table 3 baselines need 104–7,920 cells at sample period 64.
+const steadyMaxCells = 1 << 16
+
 // steadyState is the per-SM detector. It lives on the sm struct and is
 // recycled with it: resetSteady keeps every backing array, so a warm
 // run detects and fast-forwards without allocating.
@@ -119,28 +148,37 @@ type steadyState struct {
 	// Detection snapshots: the current anchor, the previous anchor
 	// (period = 1 back-edge), and a retained power-of-two anchor for
 	// longer periods (Brent's cycle-finding: the stored snapshot moves
-	// to the current anchor at anchor indices 1, 2, 4, 8, ...).
+	// to the current anchor at anchor indices 1, 2, 4, 8, ...). prevNow
+	// and brentNow are the cycles they were taken at.
 	cur, prev, brent   snapshot
 	prevValid, brentOK bool
 	brentIdx, brentPow int64
+	prevNow, brentNow  int64
 
 	// Recording state.
 	recording  bool
 	recordLeft int64 // anchors until the candidate period closes
+	anchors    int64 // anchor back-edges per candidate period
 	baseNow    int64
-	baseTick   int64
 	baseMiss   int64
 	base       snapshot // fingerprint at the period start
 	issuedBase []int64  // issuedPerPC copy at the period start
 	icacheBase []int64  // icacheUse copy at the period start
 	strideMap  map[int64]int32
 
+	// Sample cells, filled while recording with sampling on: one row of
+	// len(warps) cells per relative cycle cellFirst + i·cellGap in
+	// (0, period]. cellNext is the absolute cycle of the next capture
+	// (farFuture when none is due).
+	cells     []sampleCell
+	cellGap   int64
+	cellFirst int64
+	cellNext  int64
+
 	// Template (valid only while valid is set).
 	valid       bool
-	period      int64 // cycles per period
-	tickDelta   int64 // sample ticks per period
+	period      int64 // cycles per period (the candidate's while recording)
 	execs       []steadyExec
-	samples     []Sample // Cycle relative to the period start, in (0, period]
 	touches     []steadyTouch
 	issuedDelta []steadyIssued
 
@@ -174,8 +212,9 @@ func resetSteady(st steadyState, wl Workload, step bool) steadyState {
 		issuedBase:  st.issuedBase[:0],
 		icacheBase:  st.icacheBase[:0],
 		strideMap:   st.strideMap,
+		cells:       st.cells[:0],
+		cellNext:    farFuture,
 		execs:       st.execs[:0],
-		samples:     st.samples[:0],
 		touches:     st.touches[:0],
 		issuedDelta: st.issuedDelta[:0],
 	}
@@ -191,6 +230,7 @@ func (st *steadyState) reelect(widx int) {
 	st.anchorIdx = 0
 	st.prevValid, st.brentOK, st.valid, st.recording = false, false, false, false
 	st.brentIdx, st.brentPow = 0, 1
+	st.cellNext = farFuture
 }
 
 // Fingerprint encodings for cycle-valued fields. Values at or below
@@ -228,8 +268,10 @@ func encTime(v, now int64) int64 {
 // counters, which are deliberately excluded — they advance monotonically
 // and are validated separately through TakenStability — and the icache
 // LRU stamps, which recordings prove unread by requiring miss-free
-// periods).
-func (s *sm) fingerprint(snap *snapshot, now, nextTick, period int64) {
+// periods). Sampling state is excluded too: sampleTick writes only the
+// tick counter and the sampled-warp pointers, and no simulation decision
+// reads them.
+func (s *sm) fingerprint(snap *snapshot, now int64) {
 	w := snap.words[:0]
 
 	// SM-globals.
@@ -266,16 +308,10 @@ func (s *sm) fingerprint(snap *snapshot, now, nextTick, period int64) {
 		}
 	}
 	w = append(w, bitsAcc)
-	// Sampling phase: matching anchors must agree on where the next
-	// tick lands and which scheduler it samples, so a fast-forwarded
-	// span's synthesized ticks align exactly.
-	if period > 0 {
-		w = append(w, nextTick-now, s.tick%int64(len(s.scheds)))
-	}
 
 	for si := range s.scheds {
 		sc := &s.scheds[si]
-		flags := int64(sc.rotate)<<2 | int64(sc.samplePtr)<<18
+		flags := int64(sc.rotate) << 2
 		if sc.throttled {
 			flags |= 1
 		}
@@ -334,17 +370,18 @@ func (s *sm) fingerprint(snap *snapshot, now, nextTick, period int64) {
 // warp: it advances detection, closes recordings, and applies a
 // fast-forward when the template matches. It returns the (possibly
 // advanced) current cycle and next sample tick.
-func (s *sm) steadyAnchor(now, nextTick, period, maxCycles int64) (int64, int64) {
+func (s *sm) steadyAnchor(now, nextTick, samplePeriod, maxCycles int64) (int64, int64) {
 	st := &s.steady
 	st.anchorIdx++
-	s.fingerprint(&st.cur, now, nextTick, period)
+	s.fingerprint(&st.cur, now)
 
 	closing := false
 	if st.recording {
 		if st.recordLeft--; st.recordLeft <= 0 {
 			st.recording = false
+			st.cellNext = farFuture
 			closing = true
-			if st.cur.equal(&st.base) && st.missCount == st.baseMiss {
+			if st.cur.equal(&st.base) && st.missCount == st.baseMiss && now-st.baseNow == st.period {
 				s.finalizeTemplate(now)
 			} else {
 				st.fallbacks++
@@ -355,17 +392,24 @@ func (s *sm) steadyAnchor(now, nextTick, period, maxCycles int64) (int64, int64)
 	if !st.recording {
 		if st.valid && st.cur.equal(&st.base) {
 			st.dry = 0
-			if k := s.steadyK(now, maxCycles); k >= 1 {
-				now, nextTick = s.fastForward(now, nextTick, k)
+			if s.sink != nil && samplePeriod > 0 && (nextTick-now-st.cellFirst)%st.cellGap != 0 {
+				// The tick phase moved since the recording (an outer
+				// loop re-entered this steady state): the cell table
+				// covers none of this span's ticks. Re-record the same
+				// period at the current phase.
+				st.fallbacks++
+				s.startRecord(now, nextTick, samplePeriod, st.anchors, st.period)
+			} else if k := s.steadyK(now, maxCycles); k >= 1 {
+				now, nextTick = s.fastForward(now, nextTick, samplePeriod, k)
 			} else {
 				st.fallbacks++
 			}
 		} else if !closing && st.prevValid && st.cur.equal(&st.prev) {
 			st.dry = 0
-			s.startRecord(now, 1)
+			s.startRecord(now, nextTick, samplePeriod, 1, now-st.prevNow)
 		} else if !closing && st.brentOK && st.anchorIdx > st.brentIdx && st.cur.equal(&st.brent) {
 			st.dry = 0
-			s.startRecord(now, st.anchorIdx-st.brentIdx)
+			s.startRecord(now, nextTick, samplePeriod, st.anchorIdx-st.brentIdx, now-st.brentNow)
 		} else if st.dry++; st.dry > steadyGiveUp && !st.valid {
 			// Nothing has ever matched: this SM's state is drifting, not
 			// cycling (typical for latency-bound loops whose per-warp
@@ -381,9 +425,11 @@ func (s *sm) steadyAnchor(now, nextTick, period, maxCycles int64) (int64, int64)
 	// previous-anchor snapshot either way.
 	st.prev.copyFrom(&st.cur)
 	st.prevValid = true
+	st.prevNow = now
 	if st.anchorIdx >= st.brentPow {
 		st.brent.copyFrom(&st.cur)
 		st.brentIdx = st.anchorIdx
+		st.brentNow = now
 		st.brentOK = true
 		st.brentPow *= 2
 	}
@@ -391,20 +437,54 @@ func (s *sm) steadyAnchor(now, nextTick, period, maxCycles int64) (int64, int64)
 }
 
 // startRecord begins recording a candidate period of the given length
-// in anchor back-edges.
-func (s *sm) startRecord(now, anchors int64) {
+// in anchor back-edges and cycles. With sampling on it arms the cell
+// captures: the first relative cycle in (0, cycles] on the pending
+// tick's residue mod g, then every g cycles.
+func (s *sm) startRecord(now, nextTick, samplePeriod, anchors, cycles int64) {
 	st := &s.steady
+	sampled := s.sink != nil && samplePeriod > 0
+	g := gcd64(cycles, samplePeriod)
+	if sampled && cycles/g*int64(len(s.warps)) > steadyMaxCells {
+		st.fallbacks++
+		return
+	}
+	st.cells = st.cells[:0]
+	st.cellNext = farFuture
+	if sampled {
+		st.cellGap = g
+		st.cellFirst = (nextTick-now-1)%g + 1
+		st.cellNext = now + st.cellFirst
+	}
 	st.recording = true
 	st.valid = false
 	st.recordLeft = anchors
+	st.anchors = anchors
+	st.period = cycles
 	st.baseNow = now
-	st.baseTick = s.tick
 	st.baseMiss = st.missCount
 	st.base.copyFrom(&st.cur)
 	st.execs = st.execs[:0]
-	st.samples = st.samples[:0]
 	st.issuedBase = append(st.issuedBase[:0], s.issuedPerPC...)
 	st.icacheBase = append(st.icacheBase[:0], s.icacheUse...)
+}
+
+// captureCells appends the cell row for cycle at: what each warp would
+// report to a sample tick there (exited warps are never sampled and
+// keep a zero cell). The run loop calls it at each armed capture cycle,
+// in the loop body or inside an event skip, exactly where a sample tick
+// would fire.
+func (s *sm) captureCells(at int64) {
+	st := &s.steady
+	for i := range s.warps {
+		var c sampleCell
+		if w := &s.warps[i]; !w.exited {
+			c = s.observe(&s.scheds[i%len(s.scheds)], w, at)
+		}
+		st.cells = append(st.cells, c)
+	}
+	if st.cellNext += st.cellGap; st.cellNext-st.baseNow > st.period {
+		st.cellNext = farFuture
+	}
 }
 
 // finalizeTemplate turns a validated recording into an applicable
@@ -438,8 +518,6 @@ func (s *sm) finalizeTemplate(now int64) {
 			st.touches = append(st.touches, steadyTouch{line: int32(line), relStamp: use - now})
 		}
 	}
-	st.period = now - st.baseNow
-	st.tickDelta = s.tick - st.baseTick
 	st.valid = true
 	st.detected++
 }
@@ -476,24 +554,34 @@ func (s *sm) steadyK(now, maxCycles int64) int64 {
 // time gates shift with them (expired gates and wake-sentinels are
 // preserved — both compare identically at every future cycle), visit
 // and issue counters advance by k times the recorded deltas, touched
-// icache stamps land where the final period left them, and the
-// sampling ticks inside the span are synthesized from the template.
-func (s *sm) fastForward(now, nextTick, k int64) (int64, int64) {
+// icache stamps land where the final period left them, and every
+// sample tick inside the span is synthesized from the cell table.
+func (s *sm) fastForward(now, nextTick, samplePeriod, k int64) (int64, int64) {
 	st := &s.steady
 	shift := k * st.period
 	newNow := now + shift
 
-	if s.sink != nil && len(st.samples) > 0 {
-		for j := int64(0); j < k; j++ {
-			base := now + j*st.period
-			for _, smp := range st.samples {
-				smp.Cycle += base
-				s.sink.Record(smp)
+	if samplePeriod > 0 {
+		if s.sink == nil {
+			// sampleTick records nothing and advances nothing without a
+			// sink; only the tick schedule moves on.
+			if nextTick <= newNow {
+				nextTick += ((newNow-nextTick)/samplePeriod + 1) * samplePeriod
 			}
 		}
+		for ; nextTick <= newNow; nextTick += samplePeriod {
+			si, widx := s.nextSampled()
+			if widx < 0 {
+				continue
+			}
+			row := (nextTick - now - st.cellFirst) % st.period / st.cellGap
+			c := st.cells[row*int64(len(s.warps))+int64(widx)]
+			s.sink.Record(Sample{
+				SM: s.id, Scheduler: si, Warp: widx, Cycle: nextTick,
+				PC: int(c.pc), Active: c.active, Reason: c.reason,
+			})
+		}
 	}
-	s.tick += k * st.tickDelta
-	nextTick += shift
 
 	for i := range s.warps {
 		w := &s.warps[i]

@@ -3,11 +3,38 @@ package gpusim
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gpa/internal/arch"
 	"gpa/internal/sass"
 )
+
+// nestedSrc re-enters a steady inner loop from an outer loop whose body
+// ends in a barrier.
+const nestedSrc = `
+.func nested global
+	MOV R0, 0x0 {S:2}
+OUTER:
+	MOV R1, 0x0 {S:2}
+INNER:
+	FFMA R2, R2, R3, R4 {S:4}
+	IADD R1, R1, 0x1 {S:4}
+	ISETP P0, R1, 0x20 {S:4}
+BR1:	@P0 BRA INNER {S:5}
+	IADD R0, R0, 0x1 {S:3}
+	BAR.SYNC {S:2}
+	IMAD R5, R5, R6, R7 {S:5}
+	ISETP P1, R0, 0x8 {S:4}
+BR0:	@P1 BRA OUTER {S:5}
+	EXIT
+`
+
+// longPeriodSrc is a barrier loop of 200 long-stall instructions: a
+// period of thousands of cycles.
+var longPeriodSrc = ".func longp global\n\tMOV R0, 0x0 {S:2}\nLOOP:\n" +
+	strings.Repeat("\tFFMA R1, R1, R2, R3 {S:15}\n", 200) +
+	"\tBAR.SYNC {S:2}\n\tIADD R0, R0, 0x1 {S:4}\n\tISETP P0, R0, 0x20 {S:4}\nBR0:\t@P0 BRA LOOP {S:5}\n\tEXIT\n"
 
 // steadyOracleCases are the kernel shapes the fast-forward oracle runs.
 // The periodic cases are barrier-synchronized loops: the BAR.SYNC
@@ -54,6 +81,74 @@ func steadyOracleCases() []struct {
 			spec:         &Spec{Trips: map[Site]TripFunc{{"syncy", "BR0"}: UniformTrips(400)}},
 			samplePeriod: 1,
 			wantFF:       true,
+		},
+		{
+			// Sampling period coprime to the loop period with two warps
+			// per scheduler: consecutive skipped periods put the ticks on
+			// different relative cycles, different schedulers and
+			// different warps, so the span's samples come from the cell
+			// table walked by the live sampling state, not a replay.
+			name:         "lockstep-p37",
+			src:          syncSrc,
+			launch:       LaunchConfig{Entry: "syncy", Grid: Dim(4), Block: Dim(256), RegsPerThread: 16},
+			spec:         &Spec{Trips: map[Site]TripFunc{{"syncy", "BR0"}: UniformTrips(400)}},
+			samplePeriod: 37,
+			wantFF:       true,
+		},
+		{
+			// The profiler's default period at full width: eight warps
+			// per scheduler.
+			name:         "lockstep-wide-p64",
+			src:          syncSrc,
+			launch:       LaunchConfig{Entry: "syncy", Grid: Dim(16), Block: Dim(256), RegsPerThread: 16},
+			spec:         &Spec{Trips: map[Site]TripFunc{{"syncy", "BR0"}: UniformTrips(400)}},
+			samplePeriod: 64,
+			wantFF:       true,
+		},
+		{
+			// Two steady phases under a coprime sampling period: the
+			// second template is recorded at whatever tick phase the
+			// first phase's end left behind.
+			name:   "divergent-phases-p37",
+			src:    syncSrc,
+			launch: LaunchConfig{Entry: "syncy", Grid: Dim(8), Block: Dim(256), RegsPerThread: 16},
+			spec: &Spec{Trips: map[Site]TripFunc{{"syncy", "BR0"}: func(w WarpCtx) int {
+				if w.WarpInBlock%2 == 1 {
+					return 900
+				}
+				return 300
+			}}},
+			samplePeriod: 37,
+			wantFF:       true,
+		},
+		{
+			// A steady inner loop re-entered by an outer loop: every
+			// inner stretch has the same fingerprint, but the outer body
+			// shifts the tick phase between stretches. The sample period
+			// shares a large factor g with the 18-cycle inner period, so
+			// a later stretch matches the template on a tick residue mod
+			// g the cell table does not cover and must re-record.
+			name:   "nested-p36",
+			src:    nestedSrc,
+			launch: LaunchConfig{Entry: "nested", Grid: Dim(8), Block: Dim(256), RegsPerThread: 16},
+			spec: &Spec{Trips: map[Site]TripFunc{
+				{"nested", "BR1"}: UniformTrips(60),
+				{"nested", "BR0"}: UniformTrips(6),
+			}},
+			samplePeriod: 36,
+			wantFF:       true,
+		},
+		{
+			// A barrier loop whose period is so long that its cell table
+			// at a coprime sample period would exceed steadyMaxCells:
+			// unsampled it fast-forwards, sampled it must decline to
+			// record and step instead.
+			name:         "long-period-p37",
+			src:          longPeriodSrc,
+			launch:       LaunchConfig{Entry: "longp", Grid: Dim(16), Block: Dim(256), RegsPerThread: 16},
+			spec:         &Spec{Trips: map[Site]TripFunc{{"longp", "BR0"}: UniformTrips(24)}},
+			samplePeriod: 37,
+			wantFF:       false,
 		},
 		{
 			// Divergent trip counts, sampling off: the run has two steady

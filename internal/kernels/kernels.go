@@ -17,9 +17,11 @@
 // speedup estimation, and achieved-speedup measurement run end to end
 // (see DESIGN.md, "Substitutions").
 //
-// The rows drive the whole Figure 2 pipeline: Benchmark.Run measures
-// baseline and optimized variants and extracts the advisor's estimate,
-// producing the Achieved/Estimated/Error columns of Table 3.
+// The rows drive the whole Figure 2 pipeline: Benchmark.Run advises on
+// the baseline, measures the optimized variant, and extracts the
+// advisor's estimate, producing the Achieved/Estimated/Error columns of
+// Table 3. The baseline is simulated once: its sampled run yields both
+// the profile the advice is built from and the baseline cycle count.
 // RunOptions.GPU selects the architecture model the row runs on — the
 // paper's V100 by default, or any registered model for cross-arch
 // sweeps (the kernels assemble as sm_70 modules; the launch shapes were
@@ -164,9 +166,9 @@ type RunOptions struct {
 	SimSMs       int
 	SamplePeriod int
 	Seed         uint64
-	// Parallel runs the row's three measurements (baseline measure,
-	// optimized measure, baseline advise) concurrently. Results are
-	// identical to the sequential order.
+	// Parallel runs the row's two measurements (optimized measure,
+	// baseline advise) concurrently. Results are identical to the
+	// sequential order.
 	Parallel bool
 	// Parallelism bounds concurrent SM simulation inside each
 	// measurement. Unlike gpa.Options, the zero value means 1
@@ -200,9 +202,12 @@ func (o RunOptions) options() *gpa.Options {
 	}
 }
 
-// Run measures the baseline and optimized variants and extracts the
-// advisor's estimate for the expected optimizer. A canceled ctx aborts
-// whichever of the row's three measurements are still running and
+// Run advises on the baseline, measures the optimized variant, and
+// extracts the advisor's estimate for the expected optimizer. The
+// baseline cycle count is the advise run's profile duration: sampling
+// only reads simulator state, so it equals what Measure would return
+// and the baseline is not simulated a second time. A canceled ctx
+// aborts whichever of the row's two measurements are still running and
 // returns an error wrapping gpa.ErrCanceled.
 func (b *Benchmark) Run(ctx context.Context, ro RunOptions) (*Outcome, error) {
 	opts := ro.options()
@@ -219,36 +224,25 @@ func (b *Benchmark) Run(ctx context.Context, ro RunOptions) (*Outcome, error) {
 	optOpts := *opts
 	optOpts.Workload = optWL
 
-	var baseCycles, optCycles int64
+	var optCycles int64
 	var report *gpa.Report
 	if ro.Engine != nil {
-		// Shared-scheduler path: the three measurements become engine
+		// Shared-scheduler path: the two measurements become engine
 		// jobs, bounded by the engine's machine-wide worker pool and
 		// deduplicated by its content-addressed cache. The workload
 		// keys name each variant's Spec binding stably (the Spec is
 		// deterministic per benchmark definition), which is what makes
 		// the jobs cacheable at all.
 		results := ro.Engine.DoAll(ctx, []gpa.Job{
-			{Kind: gpa.JobMeasure, Kernel: baseK, Options: &baseOpts, WorkloadKey: b.ID() + "/base"},
 			{Kind: gpa.JobMeasure, Kernel: optK, Options: &optOpts, WorkloadKey: b.ID() + "/opt"},
 			{Kind: gpa.JobAdvise, Kernel: baseK, Options: &baseOpts, WorkloadKey: b.ID() + "/base"},
 		})
-		for i, step := range []string{"base measure", "opt measure", "advise"} {
+		for i, step := range []string{"opt measure", "advise"} {
 			if err := results[i].Err; err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", b.ID(), step, err)
 			}
 		}
-		baseCycles, optCycles = results[0].Cycles, results[1].Cycles
-		report = results[2].Report
-		return b.outcome(baseCycles, optCycles, report), nil
-	}
-	measureBase := func() error {
-		c, err := baseK.Measure(ctx, &baseOpts)
-		if err != nil {
-			return fmt.Errorf("%s: base measure: %w", b.ID(), err)
-		}
-		baseCycles = c
-		return nil
+		return b.outcome(results[1].Cycles, results[0].Cycles, results[1].Report), nil
 	}
 	measureOpt := func() error {
 		c, err := optK.Measure(ctx, &optOpts)
@@ -266,7 +260,7 @@ func (b *Benchmark) Run(ctx context.Context, ro RunOptions) (*Outcome, error) {
 		report = r
 		return nil
 	}
-	steps := []func() error{measureBase, measureOpt, advise}
+	steps := []func() error{measureOpt, advise}
 	if ro.Parallel {
 		errs := make([]error, len(steps))
 		par.Do(len(steps), len(steps), func(i int) { errs[i] = steps[i]() })
@@ -278,17 +272,17 @@ func (b *Benchmark) Run(ctx context.Context, ro RunOptions) (*Outcome, error) {
 	} else {
 		// Sequential mode short-circuits on the first failure (a failing
 		// measurement can be a full MaxCycles simulation; don't repeat
-		// it twice more).
+		// it once more).
 		for _, step := range steps {
 			if err := step(); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return b.outcome(baseCycles, optCycles, report), nil
+	return b.outcome(report.Profile.Cycles, optCycles, report), nil
 }
 
-// outcome assembles the row's Outcome from its three measurements.
+// outcome assembles the row's Outcome from its two measurements.
 func (b *Benchmark) outcome(baseCycles, optCycles int64, report *gpa.Report) *Outcome {
 	out := &Outcome{
 		Bench:      b,
