@@ -217,13 +217,15 @@ func runBenchSnapshot(ctx context.Context, path string, reps int, seed uint64, b
 		{"simulate_ff", func() error { _, err := ffK.Measure(ctx, ffOpts); return err }},
 		{"profile", func() error { _, err := k.Profile(ctx, seqOpts); return err }},
 		{"advise", func() error { _, err := k.AdviseFromProfile(ctx, prof, seqOpts); return err }},
-		{"row_seq", func() error {
+		// A row's two simulations always overlap; the two row stages
+		// differ only in the SM parallelism inside each simulation.
+		{"row", func() error {
 			_, err := row.Run(ctx, kernels.RunOptions{GPU: gpu, Seed: seed, SimSMs: simSMs})
 			return err
 		}},
-		{"row_par", func() error {
+		{"row_par_sms", func() error {
 			_, err := row.Run(ctx, kernels.RunOptions{GPU: gpu, Seed: seed, SimSMs: simSMs,
-				Parallel: true, Parallelism: runtime.GOMAXPROCS(0)})
+				Parallelism: runtime.GOMAXPROCS(0)})
 			return err
 		}},
 	}

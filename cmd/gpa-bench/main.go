@@ -18,13 +18,15 @@
 //	gpa-bench -all             Everything (on the selected -arch).
 //	gpa-bench -bench FILE      Time the pipeline stages (simulate with
 //	                           sequential and parallel SMs, profile,
-//	                           advise, full row) and write a BENCH_*.json
+//	                           advise, full row with sequential and
+//	                           parallel SMs) and write a BENCH_*.json
 //	                           trajectory snapshot.
 //
 // Cross-cutting flags: -arch NAME runs the single-architecture modes on
-// another GPU model, -parallel runs row sweeps and per-row measurements
-// concurrently (output is unchanged — the simulator is deterministic at
-// every parallelism level), -json FILE writes Table 3 or arch-sweep
+// another GPU model, -parallel runs the rows of a sweep concurrently
+// through a shared engine (a row's own two simulations always overlap;
+// output is unchanged — the simulator is deterministic at every
+// parallelism level), -json FILE writes Table 3 or arch-sweep
 // outcomes as JSON, -cpuprofile FILE captures a pprof profile.
 //
 // Absolute numbers come from the simulator, not the authors' hardware;
@@ -66,7 +68,7 @@ type sweepConfig struct {
 }
 
 func (c sweepConfig) runOptions() kernels.RunOptions {
-	return kernels.RunOptions{GPU: c.gpu, Seed: c.seed, Parallel: c.parallel, Engine: c.engine}
+	return kernels.RunOptions{GPU: c.gpu, Seed: c.seed, Engine: c.engine}
 }
 
 // sweepWorkers is how many rows a sweep submits concurrently: with a
@@ -96,7 +98,7 @@ func main() {
 		"GPU architecture model for the single-arch modes (see `gpa archs`; default v100)")
 	seed := flag.Uint64("seed", 11, "simulation seed")
 	parallel := flag.Bool("parallel", false,
-		"run benchmark rows and per-row measurements concurrently (same output)")
+		"run benchmark rows concurrently (same output; a row's two simulations always overlap)")
 	jsonOut := flag.String("json", "", "write Table 3 or arch-sweep outcomes as JSON to `file`")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
 	benchOut := flag.String("bench", "", "time the pipeline stages and write a BENCH_*.json snapshot to `file`")

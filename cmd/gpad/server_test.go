@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 
 	"gpa"
 	"gpa/internal/kernels"
+	"gpa/internal/sass"
 )
 
 const testKernelSrc = `
@@ -492,7 +494,34 @@ func TestAnalysisErrorIsUnprocessable(t *testing.T) {
 // the end of the function.
 const fallThroughSrc = ".func k global\nL:\n\tISETP P0, R0, 0x1 {S:4}\n\t@P0 BRA L {S:5}\n"
 
-func TestFallThroughKernelIsUnprocessable(t *testing.T) {
+// overrunBinary packs a one-MOV kernel whose MOV word then claims four
+// 32-bit immediates: 44+4*35 = 184 bits in a 128-bit word. The decoder
+// used to index past the word and panic inside the handler, dropping
+// the connection.
+func overrunBinary(t *testing.T) []byte {
+	t.Helper()
+	k, err := gpa.LoadKernelAsm(".func k global\n\tMOV R0, 0x1 {S:1}\n\tEXIT\n", gpa.Launch{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := k.SaveBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	word, err := sass.EncodeInstruction(&k.Module.Functions[0].Instrs[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(blob, word[:])
+	if i < 0 {
+		t.Fatal("encoded MOV word not found in the packed blob")
+	}
+	bad, _ := hex.DecodeString("2a07000000a800000000050000000800")
+	copy(blob[i:], bad)
+	return blob
+}
+
+func TestMalformedKernelIsUnprocessable(t *testing.T) {
 	ts := newTestServer(t)
 	k, err := gpa.LoadKernelAsm(fallThroughSrc, gpa.Launch{})
 	if err != nil {
@@ -506,8 +535,9 @@ func TestFallThroughKernelIsUnprocessable(t *testing.T) {
 		name string
 		body map[string]any
 	}{
-		{"asm", map[string]any{"asm": fallThroughSrc}},
-		{"binary", map[string]any{"binary": blob, "entry": "k"}},
+		{"fall-through asm", map[string]any{"asm": fallThroughSrc}},
+		{"fall-through binary", map[string]any{"binary": blob, "entry": "k"}},
+		{"operand overrun binary", map[string]any{"binary": overrunBinary(t), "entry": "k"}},
 	} {
 		resp, body := postJSON(t, ts.URL+"/v1/advise", tc.body)
 		if resp.StatusCode != http.StatusUnprocessableEntity {
@@ -524,6 +554,30 @@ func TestFallThroughKernelIsUnprocessable(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("well-formed kernel after a rejected one: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestRecursiveCallIsSimLimit: a self-recursive CAL used to grow every
+// warp's call stack until the 50M-cycle limit (seconds of CPU and
+// hundreds of MB). The call-depth cap stops it early with 422
+// sim_limit naming the cap, and the error is not cached: a repeat
+// simulates again.
+func TestRecursiveCallIsSimLimit(t *testing.T) {
+	ts := newTestServer(t)
+	req := map[string]any{"asm": ".func k global\n\tCAL k {S:2}\n\tEXIT {S:1}\n", "gridX": 1, "blockX": 32}
+	for attempt := 0; attempt < 2; attempt++ {
+		resp, body := postJSON(t, ts.URL+"/v1/advise", req)
+		var out errorBody
+		if resp.StatusCode != http.StatusUnprocessableEntity || json.Unmarshal(body, &out) != nil ||
+			out.Error.Code != "sim_limit" || !strings.Contains(out.Error.Message, "call depth") {
+			t.Fatalf("attempt %d: status %d, want 422 sim_limit naming the call depth: %s",
+				attempt, resp.StatusCode, body)
+		}
+	}
+	var st statszResponse
+	getJSON(t, ts.URL+"/statsz", &st)
+	if st.Hits != 0 || st.Misses != 2 {
+		t.Errorf("stats = %+v, want the failed request to miss twice", st)
 	}
 }
 

@@ -104,7 +104,11 @@ func Unpack(data []byte) (*sass.Module, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if nfuncs > maxSaneCount || nstrs > maxSaneCount {
+	// A string costs at least 4 bytes and a function record 13, so
+	// counts the remaining input cannot hold are rejected before they
+	// size an allocation.
+	if nfuncs > maxSaneCount || nstrs > maxSaneCount ||
+		int(nstrs)*4+int(nfuncs)*13 > len(data)-r.pos {
 		return nil, fmt.Errorf("cubin: implausible table sizes (%d funcs, %d strings)", nfuncs, nstrs)
 	}
 	strs := make([]string, nstrs)

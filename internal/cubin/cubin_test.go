@@ -2,6 +2,8 @@ package cubin
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"gpa/internal/sass"
@@ -154,6 +156,24 @@ func TestUnpackRejectsCorruption(t *testing.T) {
 	t.Run("empty", func(t *testing.T) {
 		if _, err := Unpack(nil); err == nil {
 			t.Error("Unpack accepted empty input")
+		}
+	})
+	t.Run("counts the input cannot hold", func(t *testing.T) {
+		// A 20-byte header claiming 2^20 functions must be rejected
+		// before the count sizes an allocation (~70 MB of records).
+		var hdr bytes.Buffer
+		for _, v := range []uint32{Magic, Version, 70, maxSaneCount, 0} {
+			_ = binary.Write(&hdr, binary.LittleEndian, v)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Unpack(hdr.Bytes())
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatal("Unpack accepted a header claiming 2^20 functions")
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("Unpack allocated %d bytes for a 20-byte input", n)
 		}
 	})
 }

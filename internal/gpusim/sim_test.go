@@ -3,6 +3,7 @@ package gpusim
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"gpa/internal/apierr"
@@ -80,6 +81,24 @@ func runKernel(t *testing.T, src, entry string, launch LaunchConfig, spec *Spec,
 		t.Fatalf("Run: %v", err)
 	}
 	return res, sink
+}
+
+// TestCallDepthCap: a self-recursive CAL grows the warp's call stack
+// on every issue. The run must stop at the depth cap with ErrSimLimit
+// naming that cap, long before the cycle limit (which the low
+// MaxCycles here would otherwise report instead).
+func TestCallDepthCap(t *testing.T) {
+	p, err := Load(sass.MustAssemble(".func k global\n\tCAL k {S:2}\n\tEXIT {S:1}\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(nil)
+	cfg.MaxCycles = 1_000_000
+	_, err = Run(context.Background(), p, LaunchConfig{Entry: "k", Grid: Dim3{X: 1}, Block: Dim3{X: 32}},
+		NopWorkload{}, cfg)
+	if !errors.Is(err, apierr.ErrSimLimit) || !strings.Contains(err.Error(), "call depth") {
+		t.Fatalf("Run error %v, want ErrSimLimit naming the call depth", err)
+	}
 }
 
 func TestProgramLayout(t *testing.T) {

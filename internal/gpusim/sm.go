@@ -15,6 +15,11 @@ import (
 // block rotation — resets it.
 const farFuture = int64(1<<62 - 1)
 
+// maxCallDepth caps each warp's call stack. The corpus nests calls 1-2
+// deep; an unbounded recursion ("CAL k" inside k) would otherwise grow
+// the stack of every resident warp until the cycle limit.
+const maxCallDepth = 1024
+
 // boundMSHR is the sentinel bound of a warp stalled on a full MSHR
 // pool (ReasonMemoryThrottle). It is distinct from farFuture because
 // the wake source differs: an MSHR release (tracked by sm.mshrGen)
@@ -166,6 +171,9 @@ type sm struct {
 	// lastProgress is the cycle of the most recent issue, reported by
 	// the livelock guard.
 	lastProgress int64
+	// fault is a runaway an issue detected (the call-depth cap); run
+	// returns it after the scan that set it.
+	fault error
 	// steady is the steady-state loop memoizer (see steady.go): period
 	// detection, the recorded period template, and the fast-forward
 	// counters.
@@ -506,6 +514,11 @@ func (s *sm) issue(sc *scheduler, widx int, now int64) {
 			}
 		}
 	case sass.OpCAL:
+		if len(w.callStack) == maxCallDepth {
+			s.fault = fmt.Errorf("gpusim: %w: SM %d warp %d: call depth exceeds %d (unbounded recursion?)",
+				apierr.ErrSimLimit, s.id, w.ctx.GlobalWarp, maxCallDepth)
+			return
+		}
 		w.callStack = append(w.callStack, pc+1)
 		w.pc = s.p.Target(pc)
 		s.icacheCheck(w, w.pc, now)
@@ -727,6 +740,9 @@ func (s *sm) run(ctx context.Context, maxCycles int64) (int64, error) {
 				continue
 			}
 			s.scan(sc, now, step)
+		}
+		if s.fault != nil {
+			return 0, s.fault
 		}
 		if period > 0 && now >= nextTick {
 			s.sampleTick(now)

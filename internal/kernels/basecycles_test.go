@@ -10,7 +10,7 @@ import (
 // TestBaseCyclesFromAdviseRun pins the invariant Benchmark.Run relies
 // on to simulate each baseline once: the advise run's sampled profile
 // reports exactly the cycle count an unsampled Measure of the baseline
-// returns, on the sequential, Parallel and Engine paths alike.
+// returns, on the direct and Engine paths alike.
 func TestBaseCyclesFromAdviseRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every Table 3 row at ten seed/SimSMs settings")
@@ -33,7 +33,6 @@ func TestBaseCyclesFromAdviseRun(t *testing.T) {
 					}
 					for _, ro := range []RunOptions{
 						{Seed: seed, SimSMs: simSMs},
-						{Seed: seed, SimSMs: simSMs, Parallel: true},
 						{Seed: seed, SimSMs: simSMs, Engine: eng},
 					} {
 						out, err := b.Run(context.Background(), ro)
@@ -52,11 +51,8 @@ func TestBaseCyclesFromAdviseRun(t *testing.T) {
 }
 
 func path(ro RunOptions) string {
-	switch {
-	case ro.Engine != nil:
+	if ro.Engine != nil {
 		return "engine"
-	case ro.Parallel:
-		return "parallel"
 	}
-	return "sequential"
+	return "direct"
 }

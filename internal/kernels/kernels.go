@@ -26,13 +26,16 @@
 // paper's V100 by default, or any registered model for cross-arch
 // sweeps (the kernels assemble as sm_70 modules; the launch shapes were
 // tuned on V100 geometry but run on every model whose limits they fit).
-// RunOptions.Engine routes the row's measurements through a shared
+// The row's two simulations (the optimized variant's Measure and the
+// baseline's sampled Advise) run concurrently: they share no state, so
+// the results are those of any serial order, and the first failure
+// cancels the other. RunOptions.Engine routes them through a shared
 // gpa.Engine — one machine-wide worker pool with a content-addressed
-// cache — instead of per-row goroutines; results are identical either
-// way.
+// cache — instead; results are identical either way.
 package kernels
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -41,7 +44,6 @@ import (
 
 	"gpa"
 	"gpa/internal/arch"
-	"gpa/internal/par"
 )
 
 // Variant is one concrete kernel build: assembly, launch configuration,
@@ -166,23 +168,18 @@ type RunOptions struct {
 	SimSMs       int
 	SamplePeriod int
 	Seed         uint64
-	// Parallel runs the row's two measurements (optimized measure,
-	// baseline advise) concurrently. Results are identical to the
-	// sequential order.
-	Parallel bool
-	// Parallelism bounds concurrent SM simulation inside each
-	// measurement. Unlike gpa.Options, the zero value means 1
-	// (sequential SMs): the harness layers its own row- and
-	// measurement-level concurrency on top, and nesting a
-	// GOMAXPROCS-wide SM pool under those would oversubscribe the
-	// machine and make "sequential" timings dishonest.
+	// Parallelism bounds concurrent SM simulation inside each of the
+	// row's two simulations (which run concurrently with each other).
+	// Unlike gpa.Options, the zero value means 1 (sequential SMs): the
+	// harness layers its own row- and measurement-level concurrency on
+	// top, and nesting a GOMAXPROCS-wide SM pool under those would
+	// oversubscribe the machine.
 	Parallelism int
 	// Engine routes the row's measurements through a shared scheduler
-	// with content-addressed caching (gpa.NewEngine) instead of ad-hoc
-	// goroutines, so a whole-table sweep funnels every simulation
-	// through one machine-wide worker pool and repeated rows hit the
-	// cache. Takes precedence over Parallel. Results are identical on
-	// every path.
+	// with content-addressed caching (gpa.NewEngine) instead of the
+	// row's own goroutine, so a whole-table sweep funnels every
+	// simulation through one machine-wide worker pool and repeated rows
+	// hit the cache. Results are identical on both paths.
 	Engine *gpa.Engine
 }
 
@@ -206,9 +203,11 @@ func (o RunOptions) options() *gpa.Options {
 // extracts the advisor's estimate for the expected optimizer. The
 // baseline cycle count is the advise run's profile duration: sampling
 // only reads simulator state, so it equals what Measure would return
-// and the baseline is not simulated a second time. A canceled ctx
-// aborts whichever of the row's two measurements are still running and
-// returns an error wrapping gpa.ErrCanceled.
+// and the baseline is not simulated a second time. The two simulations
+// run concurrently; the first to fail cancels the other, and Run
+// returns the failing step's own error. A canceled ctx aborts whichever
+// of the two are still running and returns an error wrapping
+// gpa.ErrCanceled.
 func (b *Benchmark) Run(ctx context.Context, ro RunOptions) (*Outcome, error) {
 	opts := ro.options()
 	baseK, baseWL, err := b.Base.Build()
@@ -224,8 +223,6 @@ func (b *Benchmark) Run(ctx context.Context, ro RunOptions) (*Outcome, error) {
 	optOpts := *opts
 	optOpts.Workload = optWL
 
-	var optCycles int64
-	var report *gpa.Report
 	if ro.Engine != nil {
 		// Shared-scheduler path: the two measurements become engine
 		// jobs, bounded by the engine's machine-wide worker pool and
@@ -244,42 +241,39 @@ func (b *Benchmark) Run(ctx context.Context, ro RunOptions) (*Outcome, error) {
 		}
 		return b.outcome(results[1].Cycles, results[0].Cycles, results[1].Report), nil
 	}
-	measureOpt := func() error {
-		c, err := optK.Measure(ctx, &optOpts)
+	// Direct path: the two simulations share no state and each is
+	// deterministic, so the optimized Measure runs on its own goroutine
+	// beside the baseline Advise with the same results as any serial
+	// order. The first failure cancels its sibling through rowCtx, and
+	// its cause is the error the row reports.
+	rowCtx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	var optCycles int64
+	optDone := make(chan error, 1)
+	go func() {
+		c, err := optK.Measure(rowCtx, &optOpts)
 		if err != nil {
-			return fmt.Errorf("%s: opt measure: %w", b.ID(), err)
+			err = fmt.Errorf("%s: opt measure: %w", b.ID(), err)
+			cancel(err)
 		}
 		optCycles = c
-		return nil
+		optDone <- err
+	}()
+	report, adviseErr := baseK.Advise(rowCtx, &baseOpts)
+	if adviseErr != nil {
+		adviseErr = fmt.Errorf("%s: advise: %w", b.ID(), adviseErr)
+		cancel(adviseErr)
 	}
-	advise := func() error {
-		r, err := baseK.Advise(ctx, &baseOpts)
-		if err != nil {
-			return fmt.Errorf("%s: advise: %w", b.ID(), err)
-		}
-		report = r
-		return nil
+	optErr := <-optDone
+	if optErr == nil && adviseErr == nil {
+		return b.outcome(report.Profile.Cycles, optCycles, report), nil
 	}
-	steps := []func() error{measureOpt, advise}
-	if ro.Parallel {
-		errs := make([]error, len(steps))
-		par.Do(len(steps), len(steps), func(i int) { errs[i] = steps[i]() })
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		// Sequential mode short-circuits on the first failure (a failing
-		// measurement can be a full MaxCycles simulation; don't repeat
-		// it once more).
-		for _, step := range steps {
-			if err := step(); err != nil {
-				return nil, err
-			}
-		}
+	if err := context.Cause(rowCtx); err == optErr || err == adviseErr {
+		return nil, err
 	}
-	return b.outcome(report.Profile.Cycles, optCycles, report), nil
+	// The caller's ctx was canceled before either step failed on its
+	// own, so the failed step reports that cancellation.
+	return nil, cmp.Or(optErr, adviseErr)
 }
 
 // outcome assembles the row's Outcome from its two measurements.

@@ -38,6 +38,10 @@ import (
 
 const operandStreamBits = 84
 
+// maxOperands is the most operands one word may carry; the 3-bit count
+// field could claim up to 7.
+const maxOperands = 5
+
 type bitBuf struct {
 	w   [2]uint64
 	pos int
@@ -58,7 +62,13 @@ func (b *bitBuf) put(width int, v uint64) {
 	b.pos += width
 }
 
+// get reads the next width bits. A read past bit 128 returns 0 and
+// advances pos anyway, so the caller's pos > 128 check reports it.
 func (b *bitBuf) get(width int) uint64 {
+	if b.pos+width > 128 {
+		b.pos += width
+		return 0
+	}
 	var v uint64
 	for i := 0; i < width; i++ {
 		if b.w[(b.pos+i)/64]&(1<<uint((b.pos+i)%64)) != 0 {
@@ -88,8 +98,8 @@ func EncodeInstruction(in *Instruction, fnOrdinal func(string) (int, bool)) ([In
 	b.put(3, uint64(in.Ctrl.ReadBar+1))
 	b.put(6, uint64(in.Ctrl.WaitMask))
 	b.put(12, uint64(in.Mods))
-	if len(in.Ops) > 5 {
-		return out, fmt.Errorf("sass: encode %s: %d operands (max 5)", in.Opcode, len(in.Ops))
+	if len(in.Ops) > maxOperands {
+		return out, fmt.Errorf("sass: encode %s: %d operands (max %d)", in.Opcode, len(in.Ops), maxOperands)
 	}
 	b.put(3, uint64(len(in.Ops)))
 	for _, o := range in.Ops {
@@ -140,7 +150,9 @@ func encodeOperand(b *bitBuf, o Operand, in *Instruction, fnOrdinal func(string)
 }
 
 // DecodeInstruction unpacks a 16-byte word. fnName resolves function
-// ordinals back to names for symbolic call targets.
+// ordinals back to names for symbolic call targets. A word is untrusted
+// input: an operand count above maxOperands, or operands that run past
+// the 128-bit word, are errors.
 func DecodeInstruction(word [InstrBytes]byte, pc uint32, fnName func(int) (string, bool)) (Instruction, error) {
 	var b bitBuf
 	b.w[0] = binary.LittleEndian.Uint64(word[0:8])
@@ -158,10 +170,16 @@ func DecodeInstruction(word [InstrBytes]byte, pc uint32, fnName func(int) (strin
 	in.Ctrl.WaitMask = uint8(b.get(6))
 	in.Mods = ModMask(b.get(12))
 	n := int(b.get(3))
+	if n > maxOperands {
+		return in, fmt.Errorf("sass: decode at 0x%x: %d operands (max %d)", pc, n, maxOperands)
+	}
 	for i := 0; i < n; i++ {
 		o, err := decodeOperand(&b, fnName)
 		if err != nil {
 			return in, fmt.Errorf("sass: decode at 0x%x: %w", pc, err)
+		}
+		if b.pos > 128 {
+			return in, fmt.Errorf("sass: decode at 0x%x: operand %d runs past the 128-bit word", pc, i)
 		}
 		in.Ops = append(in.Ops, o)
 	}

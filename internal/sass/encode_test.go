@@ -1,6 +1,7 @@
 package sass
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -97,6 +98,40 @@ func TestDecodeRejectsBadOpcode(t *testing.T) {
 	w[0] = 0xff // opcode 255 does not exist
 	if _, err := DecodeInstruction(w, 0, nil); err == nil {
 		t.Fatal("DecodeInstruction accepted an invalid opcode")
+	}
+}
+
+// overrunWord is a MOV word whose header claims n immediate operands
+// (each 35 bits), packed as EncodeInstruction lays out a word; bits past
+// 128 are dropped, as a client-built word would drop them.
+func overrunWord(n int) [InstrBytes]byte {
+	var b bitBuf
+	b.put(8, uint64(OpMOV))
+	b.put(3, uint64(Always.Reg.Index))
+	b.put(30, 0) // negate, stall, yield, barriers, wait mask, modifiers
+	b.put(3, uint64(n))
+	for i := 0; i < n; i++ {
+		b.put(3, uint64(KindImm))
+		b.put(32, 0x1)
+	}
+	var w [InstrBytes]byte
+	binary.LittleEndian.PutUint64(w[0:8], b.w[0])
+	binary.LittleEndian.PutUint64(w[8:16], b.w[1])
+	return w
+}
+
+// TestDecodeRejectsOverrun pins the decoder's bounds on untrusted
+// words: four immediates need 44+4*35 = 184 bits, which used to index
+// past the 128-bit word and panic, and the 3-bit count field can claim
+// more operands than any encodable word holds.
+func TestDecodeRejectsOverrun(t *testing.T) {
+	if _, err := DecodeInstruction(overrunWord(2), 0, nil); err != nil {
+		t.Fatalf("two immediates fit the word: %v", err)
+	}
+	for _, n := range []int{3, 4, 6, 7} {
+		if _, err := DecodeInstruction(overrunWord(n), 0, nil); err == nil {
+			t.Errorf("DecodeInstruction accepted a word claiming %d immediates", n)
+		}
 	}
 }
 
